@@ -12,8 +12,9 @@ cd "$(dirname "$0")/.."
 JOBS=${JOBS:-$(nproc)}
 
 SAN_TARGETS=(test_parallel_mc test_skew_kernel test_skew_block
-             test_fault test_obs test_serve test_net test_dist)
-SAN_REGEX='^test_(parallel_mc|skew_kernel|skew_block|fault|obs|serve|net|dist)$'
+             test_fault test_resilience_compiled test_obs test_serve
+             test_net test_dist)
+SAN_REGEX='^test_(parallel_mc|skew_kernel|skew_block|fault|resilience_compiled|obs|serve|net|dist)$'
 
 echo "== tier-1: configure, build, ctest =="
 cmake -B build -S . >/dev/null

@@ -1,5 +1,6 @@
 #include "mc/resilience.hh"
 
+#include <algorithm>
 #include <array>
 #include <unordered_set>
 
@@ -30,14 +31,8 @@ distributionKindName(DistributionKind kind)
 namespace
 {
 
-// Substream salts within a trial's Rng::forTrial stream: the fault plan
-// and the wire-delay realisation never perturb each other, so the same
-// chip (delays) can be compared across fault rates.
-constexpr std::uint64_t planSalt = 1;
-constexpr std::uint64_t delaySalt = 2;
-
-/** The per-chip tree stage-delay model, shared by the scalar and
- *  blocked trial paths. Captures by reference; consume immediately. */
+/** The per-chip tree stage-delay model of the desim fallback. Captures
+ *  by reference; consume immediately. treeArrivals draws the same. */
 desim::ClockNet::DelayFn
 treeDelayFn(const ResilienceConfig &rc, Rng &delay_rng)
 {
@@ -62,55 +57,343 @@ gridDelayFn(const ResilienceConfig &rc, Rng &delay_rng)
     };
 }
 
-/** One faulty-tree trial: build the per-chip DelayFn and simulate. */
-fault::DistributionOutcome
-treeTrial(const core::SkewKernel &kernel,
-          const clocktree::BufferedClockTree &btree,
-          const fault::FaultPlan &plan, const ResilienceConfig &rc,
-          Rng &delay_rng)
+/** Per-stage and per-net fault state bits of the compiled pass. */
+enum : std::uint8_t
 {
-    return fault::simulateTreeUnderFaults(
-        kernel, btree, treeDelayFn(rc, delay_rng), plan);
+    /** The stage (tree element or grid link) is a dead buffer. */
+    deadStage = 1,
+    stuckLow = 2,
+    stuckHigh = 4,
+    glitched = 8,
+};
+
+/**
+ * Per-thread scratch of the compiled pass, indexed by stage (tree
+ * site i for the element feeding it, grid link) and by net (tree
+ * site, grid node; the grid root is net rows * cols). Between trials
+ * every slot holds the healthy state (flags 0, scale 1): a trial folds
+ * its plan in and afterwards resets exactly the slots it touched.
+ */
+struct PassScratch
+{
+    std::vector<Time> delay;
+    std::vector<double> scale;
+    std::vector<std::uint8_t> stageFlags;
+    std::vector<std::uint8_t> netFlags;
+    /** Tree site arrivals. */
+    std::vector<Time> arrival;
+
+    /** Grow (never shrink) to @p stages and @p nets healthy slots. */
+    void
+    fit(std::size_t stages, std::size_t nets)
+    {
+        if (delay.size() < stages) {
+            delay.resize(stages);
+            scale.resize(stages, 1.0);
+            stageFlags.resize(stages, 0);
+            arrival.resize(stages);
+        }
+        if (netFlags.size() < nets)
+            netFlags.resize(nets, 0);
+    }
+};
+
+thread_local PassScratch passScratch;
+
+/**
+ * True when the compiled pass reproduces desim for @p plan: every
+ * fault applies at t = 0, and no dead or drifting stage is armed
+ * after a stuck-at-high net (whose t = 0 rise would already be in
+ * flight through it -- possible only in hand-built plans, since
+ * generated plans list kinds in FaultKind order).
+ */
+bool
+compilable(const fault::FaultPlan &plan)
+{
+    bool risen = false;
+    for (const fault::Fault &f : plan.faults()) {
+        if (f.onset != 0.0)
+            return false;
+        if (f.kind == fault::FaultKind::StuckAtNet && f.stuckHigh)
+            risen = true;
+        else if (risen && (f.kind == fault::FaultKind::DeadBuffer ||
+                           f.kind == fault::FaultKind::DelayDrift))
+            return false;
+    }
+    return true;
 }
 
-/** One faulty-grid trial: per-link delays from the same delay model. */
-fault::DistributionOutcome
-gridTrial(const core::SkewKernel &kernel, int rows, int cols,
-          const fault::FaultPlan &plan, const ResilienceConfig &rc,
-          Rng &delay_rng)
+/**
+ * Fold @p plan into @p ps (or, with @p undo, restore the slots it
+ * touched). Buffer fault i hits stage i + @p stage_offset (tree
+ * element i feeds site i + 1); net faults hit their net index.
+ */
+void
+foldPlan(const fault::FaultPlan &plan, const fault::FaultUniverse &u,
+         std::size_t stage_offset, PassScratch &ps, bool undo)
 {
-    return fault::simulateGridUnderFaults(
-        kernel, rows, cols, gridDelayFn(rc, delay_rng), plan);
+    for (const fault::Fault &f : plan.faults()) {
+        switch (f.kind) {
+          case fault::FaultKind::DeadBuffer:
+          case fault::FaultKind::DelayDrift: {
+            VSYNC_ASSERT(f.site < u.bufferSites, "buffer site %zu of %zu",
+                         f.site, u.bufferSites);
+            const std::size_t i = f.site + stage_offset;
+            if (undo) {
+                ps.stageFlags[i] = 0;
+                ps.scale[i] = 1.0;
+            } else if (f.kind == fault::FaultKind::DeadBuffer) {
+                ps.stageFlags[i] = deadStage;
+            } else {
+                ps.scale[i] = f.magnitude;
+            }
+            break;
+          }
+          case fault::FaultKind::StuckAtNet:
+          case fault::FaultKind::TransientGlitch: {
+            VSYNC_ASSERT(f.site < u.clockNets, "clock net %zu of %zu",
+                         f.site, u.clockNets);
+            const std::uint8_t bit =
+                f.kind == fault::FaultKind::TransientGlitch ? glitched
+                : f.stuckHigh                               ? stuckHigh
+                                                            : stuckLow;
+            ps.netFlags[f.site] =
+                undo ? 0 : static_cast<std::uint8_t>(
+                               ps.netFlags[f.site] | bit);
+            break;
+          }
+          case fault::FaultKind::SeveredHandshakeWire:
+            break; // no handshake wires on a clock distribution
+        }
+    }
 }
 
-} // namespace
+/**
+ * First rise of a net whose stage(s) deliver the clock at @p driven:
+ * a stuck-at-high net rose when it stuck (t = 0), a stuck-low one
+ * never rises, and a glitch rises at t = 0, before any clock edge.
+ */
+inline Time
+netArrival(std::uint8_t net, Time driven)
+{
+    if (net & stuckHigh)
+        return 0.0;
+    if (net & stuckLow)
+        return infinity;
+    return (net & glitched) ? 0.0 : driven;
+}
 
-fault::DistributionOutcome
-ResilienceScenario::runTrial(
-    std::uint64_t seed, std::uint64_t trial,
-    const std::array<obs::Counter *, fault::faultKindCount>
-        *kind_counters) const
+/** Compiled tree pass: cell c's arrival to out[c * stride]. */
+void
+treeArrivals(const ResilienceScenario &s, const fault::FaultPlan &plan,
+             Rng &delay_rng, Time *out, std::size_t stride)
+{
+    const std::size_t n = s.siteParent.size();
+    PassScratch &ps = passScratch;
+    ps.fit(n, n);
+    // One unit delay per non-root site, in ClockNet construction order.
+    Time *unit = ps.delay.data();
+    delay_rng.fillUniform(s.rc.delay.lo(), s.rc.delay.hi(), unit + 1,
+                          n - 1, 1);
+    foldPlan(plan, s.universe, 1, ps, false);
+
+    Time *a = ps.arrival.data();
+    a[0] = netArrival(ps.netFlags[0], 0.0);
+    for (std::size_t i = 1; i < n; ++i) {
+        // The stage expressions of treeDelayFn and DelayElement.
+        const Time stage = s.siteWire[i] * unit[i] +
+                           (s.siteIsBuffer[i] ? s.rc.bufferDelay : 0.0);
+        const Time driven = (ps.stageFlags[i] & deadStage)
+                                ? infinity
+                                : a[s.siteParent[i]] + stage * ps.scale[i];
+        a[i] = ps.netFlags[i] ? netArrival(ps.netFlags[i], driven)
+                              : driven;
+    }
+    foldPlan(plan, s.universe, 1, ps, true);
+
+    for (std::size_t c = 0; c < s.cellSite.size(); ++c)
+        out[c * stride] = a[s.cellSite[c]];
+}
+
+/** Compiled TRIX pass: node (r, c) to out[(r * cols + c) * stride]. */
+void
+gridArrivals(const ResilienceScenario &s, const fault::FaultPlan &plan,
+             Rng &delay_rng, Time *out, std::size_t stride)
+{
+    const std::size_t nodes =
+        static_cast<std::size_t>(s.rows) * static_cast<std::size_t>(s.cols);
+    PassScratch &ps = passScratch;
+    ps.fit(3 * nodes, nodes + 1);
+    // One delay per link, in TrixGrid construction order (r, c, k).
+    Time *d = ps.delay.data();
+    delay_rng.fillUniform(s.rc.delay.lo(), s.rc.delay.hi(), d, 3 * nodes,
+                          1);
+    for (std::size_t l = 0; l < 3 * nodes; ++l)
+        d[l] = s.rc.bufferDelay + d[l];
+    foldPlan(plan, s.universe, 0, ps, false);
+
+    const Time root = netArrival(ps.netFlags[nodes], 0.0);
+    for (int r = 0; r < s.rows; ++r) {
+        for (int c = 0; c < s.cols; ++c) {
+            const std::size_t node =
+                static_cast<std::size_t>(r) * s.cols + c;
+            // Layer r - 1 feeds layer r; layer 0 hangs off the root.
+            const Time *prev =
+                r == 0 ? nullptr : out + (node - c - s.cols) * stride;
+            std::array<Time, 3> in;
+            for (int k = 0; k < 3; ++k) {
+                const std::size_t l = 3 * node + k;
+                const int pc = std::clamp(c - 1 + k, 0, s.cols - 1);
+                const Time src = prev ? prev[pc * stride] : root;
+                in[k] = (ps.stageFlags[l] & deadStage)
+                            ? infinity
+                            : src + d[l] * ps.scale[l];
+            }
+            // The median vote: the second link to deliver fires.
+            const Time median =
+                std::max(std::min(in[0], in[1]),
+                         std::min(std::max(in[0], in[1]), in[2]));
+            out[node * stride] = netArrival(ps.netFlags[node], median);
+        }
+    }
+    foldPlan(plan, s.universe, 0, ps, true);
+}
+
+/** The desim oracle for plans the compiled pass does not cover. */
+void
+desimArrivals(const ResilienceScenario &s, const fault::FaultPlan &plan,
+              Rng &delay_rng, Time *out, std::size_t stride)
+{
+    std::vector<Time> arrival;
+    if (s.kind == DistributionKind::TrixGrid)
+        fault::simulateGridArrivalsUnderFaults(
+            *s.kernel, s.rows, s.cols, gridDelayFn(s.rc, delay_rng), plan,
+            arrival);
+    else
+        fault::simulateTreeArrivalsUnderFaults(
+            *s.kernel, s.btree, treeDelayFn(s.rc, delay_rng), plan,
+            arrival);
+    for (std::size_t c = 0; c < arrival.size(); ++c)
+        out[c * stride] = arrival[c];
+}
+
+/**
+ * Trial @p trial of @p s: draw its plan and delays, write cell c's
+ * first arrival to out[c * stride]. Returns the plan's fault count.
+ */
+std::size_t
+trialArrivals(const ResilienceScenario &s, std::uint64_t seed,
+              std::uint64_t trial, const TrialCounters *counters,
+              Time *out, std::size_t stride)
 {
     Rng trial_rng = Rng::forTrial(seed, trial);
     Rng plan_rng = trial_rng.deriveStream(planSalt);
     Rng delay_rng = trial_rng.deriveStream(delaySalt);
     const fault::FaultPlan plan =
-        fault::FaultPlan::generate(universe, rates, plan_rng);
-    if (kind_counters)
+        fault::FaultPlan::generate(s.universe, s.rates, plan_rng);
+    const bool compiled = s.cellArrivals(plan, delay_rng, out, stride);
+    if (counters) {
         for (const fault::Fault &f : plan.faults())
-            (*kind_counters)[static_cast<std::size_t>(f.kind)]->inc();
-    return kind == DistributionKind::TrixGrid
-               ? gridTrial(*kernel, rows, cols, plan, rc, delay_rng)
-               : treeTrial(*kernel, btree, plan, rc, delay_rng);
+            if (obs::Counter *c =
+                    counters->faultKinds[static_cast<std::size_t>(f.kind)])
+                c->inc();
+        if (!compiled && counters->desimFallbacks)
+            counters->desimFallbacks->inc();
+    }
+    return plan.size();
+}
+
+/** cfg.trials blocked trials of @p scenario on @p pool. */
+ResiliencePoint
+sweepScenario(const ResilienceScenario &scenario, double fault_rate,
+              const McConfig &cfg, ThreadPool &pool)
+{
+    ResiliencePoint point;
+    point.faultRate = fault_rate;
+    point.maxCommSkew.samples.assign(cfg.trials, 0.0);
+    point.clockedFraction.samples.assign(cfg.trials, 0.0);
+    std::vector<double> faults(cfg.trials, 0.0);
+
+    // Observability: per-kind injected-fault counters and the desim
+    // fallback counter, resolved before the fan-out (registration
+    // locks; Counter::inc is lock-free).
+    TrialCounters counters;
+    if (cfg.metrics) {
+        for (int k = 0; k < fault::faultKindCount; ++k)
+            counters.faultKinds[static_cast<std::size_t>(k)] =
+                &cfg.metrics->counter(
+                    "mc.resilience.faults." +
+                    fault::faultKindName(static_cast<fault::FaultKind>(k)));
+        counters.desimFallbacks =
+            &cfg.metrics->counter("mc.resilience.desim_fallbacks");
+    }
+
+    // Blocked trial loop: runTrialBlock batches blockW arrival
+    // surfaces per pair-fold pass (bit-identical to per-trial
+    // runTrial at any width, grain or thread count).
+    const std::size_t blockW = scenario.kernel->blockWidth();
+    pool.parallelForRange(
+        cfg.trials, cfg.grain,
+        [&](std::size_t begin, std::size_t end) {
+            std::vector<Time> laneScratch; // reused per chunk
+            for (std::size_t i = begin; i < end; i += blockW) {
+                const std::size_t w = std::min(blockW, end - i);
+                scenario.runTrialBlock(
+                    cfg.seed, i, w,
+                    {point.maxCommSkew.samples.data() + i, w},
+                    {point.clockedFraction.samples.data() + i, w},
+                    {faults.data() + i, w},
+                    cfg.metrics ? &counters : nullptr, laneScratch);
+            }
+        });
+    reduceInTrialOrder(point.maxCommSkew);
+    reduceInTrialOrder(point.clockedFraction);
+    double total = 0.0;
+    for (const double f : faults)
+        total += f;
+    point.meanFaults = cfg.trials ? total / cfg.trials : 0.0;
+    return point;
+}
+
+} // namespace
+
+bool
+ResilienceScenario::cellArrivals(const fault::FaultPlan &plan,
+                                 Rng &delay_rng, Time *out,
+                                 std::size_t stride) const
+{
+    if (!compilable(plan)) {
+        desimArrivals(*this, plan, delay_rng, out, stride);
+        return false;
+    }
+    if (kind == DistributionKind::TrixGrid)
+        gridArrivals(*this, plan, delay_rng, out, stride);
+    else
+        treeArrivals(*this, plan, delay_rng, out, stride);
+    return true;
+}
+
+fault::DistributionOutcome
+ResilienceScenario::runTrial(std::uint64_t seed, std::uint64_t trial,
+                             const TrialCounters *counters) const
+{
+    fault::DistributionOutcome out;
+    out.cellArrival.resize(kernel->cellCount());
+    out.faultCount = trialArrivals(*this, seed, trial, counters,
+                                   out.cellArrival.data(), 1);
+    const core::ArrivalSkew skew = kernel->arrivalSkew(out.cellArrival);
+    out.clockedFraction = skew.clockedFraction;
+    out.maxCommSkew = skew.maxCommSkew;
+    out.clockedPairs = skew.clockedPairs;
+    out.pairCount = skew.pairCount;
+    return out;
 }
 
 void
 ResilienceScenario::runTrialBlock(
     std::uint64_t seed, std::uint64_t first_trial, std::size_t count,
     std::span<double> out_skew, std::span<double> out_clocked,
-    std::span<double> out_faults,
-    const std::array<obs::Counter *, fault::faultKindCount>
-        *kind_counters,
+    std::span<double> out_faults, const TrialCounters *counters,
     std::vector<Time> &lane_scratch) const
 {
     VSYNC_ASSERT(count >= 1 && count <= core::SkewKernel::maxLanes,
@@ -123,33 +406,12 @@ ResilienceScenario::runTrialBlock(
     const std::size_t stride = core::SkewKernel::laneStride(count);
     const std::size_t cells = kernel->cellCount();
     lane_scratch.resize(cells * stride);
-    // The desim pulses stay per-trial (event-driven simulation has no
-    // lanes); only their arrival surfaces are batched, scattered
-    // lane-major and reduced in one blocked pair fold.
-    std::vector<Time> arrival;
-    for (std::size_t j = 0; j < count; ++j) {
-        Rng trial_rng = Rng::forTrial(seed, first_trial + j);
-        Rng plan_rng = trial_rng.deriveStream(planSalt);
-        Rng delay_rng = trial_rng.deriveStream(delaySalt);
-        const fault::FaultPlan plan =
-            fault::FaultPlan::generate(universe, rates, plan_rng);
-        if (kind_counters)
-            for (const fault::Fault &f : plan.faults())
-                (*kind_counters)[static_cast<std::size_t>(f.kind)]
-                    ->inc();
-        if (kind == DistributionKind::TrixGrid) {
-            fault::simulateGridArrivalsUnderFaults(
-                *kernel, rows, cols, gridDelayFn(rc, delay_rng), plan,
-                arrival);
-        } else {
-            fault::simulateTreeArrivalsUnderFaults(
-                *kernel, btree, treeDelayFn(rc, delay_rng), plan,
-                arrival);
-        }
-        for (std::size_t c = 0; c < cells; ++c)
-            lane_scratch[c * stride + j] = arrival[c];
-        out_faults[j] = static_cast<double>(plan.size());
-    }
+    // Every trial writes its arrival surface straight into its lane
+    // column; one blocked pair fold reduces them all.
+    for (std::size_t j = 0; j < count; ++j)
+        out_faults[j] = static_cast<double>(
+            trialArrivals(*this, seed, first_trial + j, counters,
+                          lane_scratch.data() + j, stride));
     std::array<core::ArrivalSkew, core::SkewKernel::maxLanes> reduced;
     kernel->arrivalSkewBlock(
         std::span<const Time>(lane_scratch.data(), cells * stride),
@@ -180,15 +442,33 @@ compileResilienceScenario(const layout::Layout &l, int rows, int cols,
     if (kind == DistributionKind::TrixGrid) {
         s.universe = fault::TrixGrid::universe(rows, cols);
         s.kernel = kernels(l, nullptr);
-    } else {
-        s.tree = kind == DistributionKind::HTree
-                     ? clocktree::buildHTreeGrid(l, rows, cols)
-                     : clocktree::buildSpine(l);
-        s.btree = clocktree::BufferedClockTree::insertBuffers(
-            s.tree, rc.bufferSpacing);
-        s.universe = fault::universeOf(s.btree);
-        s.kernel = kernels(l, &s.tree);
+        return s;
     }
+    s.tree = kind == DistributionKind::HTree
+                 ? clocktree::buildHTreeGrid(l, rows, cols)
+                 : clocktree::buildSpine(l);
+    s.btree = clocktree::BufferedClockTree::insertBuffers(s.tree,
+                                                          rc.bufferSpacing);
+    s.universe = fault::universeOf(s.btree);
+    s.kernel = kernels(l, &s.tree);
+
+    const std::vector<clocktree::BufferedSite> &sites = s.btree.sites();
+    s.siteParent.assign(sites.size(), 0);
+    s.siteWire.assign(sites.size(), 0.0);
+    s.siteIsBuffer.assign(sites.size(), 0);
+    for (std::size_t i = 1; i < sites.size(); ++i) {
+        VSYNC_ASSERT(sites[i].parent >= 0 &&
+                         static_cast<std::size_t>(sites[i].parent) < i,
+                     "site %zu precedes its parent %d", i,
+                     sites[i].parent);
+        s.siteParent[i] = static_cast<std::uint32_t>(sites[i].parent);
+        s.siteWire[i] = sites[i].wireFromParent;
+        s.siteIsBuffer[i] = sites[i].isBuffer;
+    }
+    s.cellSite.resize(s.kernel->cellCount());
+    for (std::size_t c = 0; c < s.cellSite.size(); ++c)
+        s.cellSite[c] = static_cast<std::uint32_t>(s.btree.siteOfNode(
+            s.kernel->nodeOfCell(static_cast<CellId>(c))));
     return s;
 }
 
@@ -208,56 +488,10 @@ resilienceAtRate(const layout::Layout &l, int rows, int cols,
                  const core::KernelProvider &kernels)
 {
     cfg.validate();
-    // Shared read-only state, built once before the fan-out: the
-    // distribution, its fault universe, and one compiled SkewKernel
-    // (pairs-only for the grid, which has no clock tree).
     const ResilienceScenario scenario = compileResilienceScenario(
         l, rows, cols, kind, fault_rate, rc, kernels);
-
-    ResiliencePoint point;
-    point.faultRate = fault_rate;
-    point.maxCommSkew.samples.assign(cfg.trials, 0.0);
-    point.clockedFraction.samples.assign(cfg.trials, 0.0);
-    std::vector<double> faults(cfg.trials, 0.0);
-
-    // Observability: per-kind injected-fault counters, resolved before
-    // the fan-out (registration locks; Counter::inc is lock-free).
-    std::array<obs::Counter *, fault::faultKindCount> kindCounters{};
-    if (cfg.metrics) {
-        for (int k = 0; k < fault::faultKindCount; ++k)
-            kindCounters[static_cast<std::size_t>(k)] =
-                &cfg.metrics->counter(
-                    "mc.resilience.faults." +
-                    fault::faultKindName(static_cast<fault::FaultKind>(k)));
-    }
-
-    // Blocked trial loop: runTrialBlock batches blockW arrival
-    // surfaces per pair-fold pass (bit-identical to per-trial
-    // runTrial at any width, grain or thread count).
-    const std::size_t blockW = scenario.kernel->blockWidth();
     ThreadPool pool(cfg.threads);
-    pool.parallelForRange(
-        cfg.trials, cfg.grain,
-        [&](std::size_t begin, std::size_t end) {
-            std::vector<Time> laneScratch; // reused per chunk
-            for (std::size_t i = begin; i < end; i += blockW) {
-                const std::size_t w = std::min(blockW, end - i);
-                scenario.runTrialBlock(
-                    cfg.seed, i, w,
-                    {point.maxCommSkew.samples.data() + i, w},
-                    {point.clockedFraction.samples.data() + i, w},
-                    {faults.data() + i, w},
-                    cfg.metrics ? &kindCounters : nullptr,
-                    laneScratch);
-            }
-        });
-    reduceInTrialOrder(point.maxCommSkew);
-    reduceInTrialOrder(point.clockedFraction);
-    double total = 0.0;
-    for (const double f : faults)
-        total += f;
-    point.meanFaults = cfg.trials ? total / cfg.trials : 0.0;
-    return point;
+    return sweepScenario(scenario, fault_rate, cfg, pool);
 }
 
 std::vector<ResiliencePoint>
@@ -266,10 +500,18 @@ degradationCurve(const layout::Layout &l, int rows, int cols,
                  const ResilienceConfig &rc, const McConfig &cfg)
 {
     std::vector<ResiliencePoint> curve;
+    if (rates.empty())
+        return curve;
+    cfg.validate();
+    // Only the rates differ between points: one compile, one pool.
+    ResilienceScenario scenario = compileResilienceScenario(
+        l, rows, cols, kind, rates.front(), rc, core::directCompile());
+    ThreadPool pool(cfg.threads);
     curve.reserve(rates.size());
-    for (const double rate : rates)
-        curve.push_back(
-            resilienceAtRate(l, rows, cols, kind, rate, rc, cfg));
+    for (const double rate : rates) {
+        scenario.rates = fault::FaultRates::mixed(rate);
+        curve.push_back(sweepScenario(scenario, rate, cfg, pool));
+    }
     return curve;
 }
 

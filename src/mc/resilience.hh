@@ -5,14 +5,19 @@
  * Where sweeps.hh asks "how fast is a healthy chip", these sweeps ask
  * "how much survives a broken one". Each trial draws a FaultPlan from
  * its private substream (fault::FaultPlan, so plans are bit-identical
- * at any thread count), arms it on a simulated clock distribution --
- * a buffered H-tree or spine (ClockNet) or the redundant TRIX grid --
- * and measures the realised per-cell arrival surface: the fraction of
- * cells still correctly clocked and the maximum skew between
- * communicating cells that both got a clock. Sweeping the fault rate
- * yields the graceful-degradation curves BENCH_fault_tolerance plots;
+ * at any thread count), applies it to a clock distribution -- a
+ * buffered H-tree or spine or the redundant TRIX grid -- and measures
+ * the realised per-cell arrival surface: the fraction of cells still
+ * correctly clocked and the maximum skew between communicating cells
+ * that both got a clock. Sweeping the fault rate yields the
+ * graceful-degradation curves BENCH_fault_tolerance plots;
  * hybridSurvivalSweep does the same for the Section VI handshake
  * network under severed wires.
+ *
+ * First arrivals come from a compiled one-pass recurrence over the
+ * distribution (ResilienceScenario documents the rules), bitwise equal
+ * to the desim drivers fault::simulate{Tree,Grid}ArrivalsUnderFaults,
+ * which stay the oracle and the fallback for plans with future onsets.
  *
  * All sweeps obey the Monte-Carlo determinism contract: results are
  * bit-identical for any cfg.threads.
@@ -22,6 +27,7 @@
 #define VSYNC_MC_RESILIENCE_HH
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -84,13 +90,49 @@ struct ResiliencePoint
 };
 
 /**
+ * Substream salts within a trial's Rng::forTrial stream: the fault plan
+ * and the wire-delay realisation never perturb each other, so the same
+ * chip (delays) can be compared across fault rates.
+ */
+inline constexpr std::uint64_t planSalt = 1;
+inline constexpr std::uint64_t delaySalt = 2;
+
+/** Optional per-trial observability counters (nullptr = off). */
+struct TrialCounters
+{
+    /** One inc() per planned fault, on the counter of its kind. */
+    std::array<obs::Counter *, fault::faultKindCount> faultKinds{};
+    /** One inc() per trial whose plan fell back to desim. */
+    obs::Counter *desimFallbacks = nullptr;
+};
+
+/**
  * The shared read-only state of one resilience experiment, built once
  * before the trial fan-out: the distribution under test (tree + its
  * buffered form, or the grid dimensions), its fault universe and
- * rates, and the compiled kernel. Immutable after compile; safe to
- * share across threads. serve::SweepService compiles one of these per
- * resilience request (kernel via the scenario cache) and runs its
- * trials on the shared pool.
+ * rates, the compiled kernel and the flat first-arrival arrays.
+ * Immutable after compile; safe to share across threads.
+ * serve::SweepService compiles one of these per resilience request
+ * (kernel via the scenario cache) and runs its trials on the shared
+ * pool.
+ *
+ * A trial's first arrivals come from one forward pass. Under a plan
+ * whose faults all apply at t = 0, with A = first rising arrival and
+ * d the stage (tree site) or link (grid) delay drawn as desim's
+ * ClockNet / TrixGrid constructors draw it:
+ *
+ *  - tree site i: A[i] = stuckLow ? inf : min(forced0 ? 0 : inf,
+ *    alive ? A[parent] + d_i * scale_i : inf);
+ *  - grid node (r, c): the same rule with the alive term replaced by
+ *    the second-smallest of its three link arrivals
+ *    A[r-1][pc_k] + d_k * scale_k (dead links inf);
+ *  - the root is 0 unless stuck low.
+ *
+ * alive/scale fold the dead-buffer and delay-drift faults of the stage
+ * feeding a site; forced0 is a stuck-at-high net or a glitch on a net
+ * that is not stuck low (either rises at t = 0). Desim is the oracle
+ * (tests/test_resilience_compiled.cc); plans the rules do not cover --
+ * any fault with a nonzero onset -- run the desim drivers instead.
  */
 struct ResilienceScenario
 {
@@ -106,24 +148,43 @@ struct ResilienceScenario
     /** Tree-compiled, or pairs-only for TrixGrid. */
     std::shared_ptr<const core::SkewKernel> kernel;
 
+    /** Flattened btree for the compiled pass (trees only), per site:
+     *  parent site (parents precede children), wire length from the
+     *  parent, buffer flag. */
+    std::vector<std::uint32_t> siteParent;
+    std::vector<Length> siteWire;
+    std::vector<std::uint8_t> siteIsBuffer;
+    /** Buffered-tree site clocking each cell. */
+    std::vector<std::uint32_t> cellSite;
+
+    /**
+     * First arrivals of one clock pulse under @p plan, with the stage
+     * or link delays drawn from @p delay_rng exactly as
+     * fault::simulate{Tree,Grid}ArrivalsUnderFaults draw them through
+     * the ClockNet / TrixGrid constructors: cell c's arrival (infinity
+     * = never clocked) goes to out[c * stride]. Bitwise equal to those
+     * desim drivers; returns false when @p plan needed them (the desim
+     * fallback ran), true when the compiled pass did.
+     */
+    bool cellArrivals(const fault::FaultPlan &plan, Rng &delay_rng,
+                      Time *out, std::size_t stride = 1) const;
+
     /**
      * One trial, bit-identical for any thread count: draws the fault
      * plan and the wire delays from disjoint substreams of
-     * Rng::forTrial(seed, trial), arms the plan and drives one clock
-     * pulse. @p kind_counters, when set, receives one inc() per
-     * planned fault on the counter of its kind.
+     * Rng::forTrial(seed, trial) (salts planSalt, delaySalt) and
+     * computes the first arrivals of one clock pulse under the plan
+     * (cellArrivals).
      */
     fault::DistributionOutcome
     runTrial(std::uint64_t seed, std::uint64_t trial,
-             const std::array<obs::Counter *, fault::faultKindCount>
-                 *kind_counters = nullptr) const;
+             const TrialCounters *counters = nullptr) const;
 
     /**
      * Trials [first_trial, first_trial + count) in one blocked pass:
-     * each trial's faulty pulse still runs individually (a discrete
-     * event simulation cannot be lane-blocked), but the per-cell
-     * arrival surfaces are scattered into a lane-major matrix and
-     * reduced by a single core::SkewKernel::arrivalSkewBlock call --
+     * each trial writes its arrivals straight into its column of a
+     * lane-major cell matrix, and one
+     * core::SkewKernel::arrivalSkewBlock call reduces the block --
      * trial j's slots are bitwise what runTrial would have produced.
      * @p count <= core::SkewKernel::maxLanes; callers drive this with
      * kernel->blockWidth() and a narrower remainder block.
@@ -134,9 +195,7 @@ struct ResilienceScenario
                        std::size_t count, std::span<double> out_skew,
                        std::span<double> out_clocked,
                        std::span<double> out_faults,
-                       const std::array<obs::Counter *,
-                                        fault::faultKindCount>
-                           *kind_counters,
+                       const TrialCounters *counters,
                        std::vector<Time> &lane_scratch) const;
 };
 
@@ -179,7 +238,8 @@ ResiliencePoint resilienceAtRate(const layout::Layout &l, int rows,
 
 /**
  * The graceful-degradation curve: resilienceAtRate at every rate of
- * @p rates (typically including 0 as the healthy baseline).
+ * @p rates (typically including 0 as the healthy baseline), bitwise.
+ * The distribution compiles once and one pool runs every rate.
  */
 std::vector<ResiliencePoint>
 degradationCurve(const layout::Layout &l, int rows, int cols,

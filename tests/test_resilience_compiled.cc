@@ -1,0 +1,380 @@
+/**
+ * @file
+ * The compiled resilience pass against its desim oracle.
+ *
+ * mc::ResilienceScenario::cellArrivals computes first arrivals in one
+ * forward pass; fault::simulate{Tree,Grid}ArrivalsUnderFaults drive a
+ * full desim world. For random onset-0 plans and hand-built edge cases
+ * the two must agree bit for bit, arrival by arrival, and consume the
+ * same number of delay draws. Plans the pass does not cover take the
+ * desim fallback, which the sweeps count.
+ */
+
+#include <gtest/gtest.h>
+
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/rng.hh"
+#include "fault/fault_plan.hh"
+#include "fault/injector.hh"
+#include "layout/generators.hh"
+#include "mc/resilience.hh"
+#include "obs/metrics.hh"
+
+namespace
+{
+
+using namespace vsync;
+using fault::Fault;
+using fault::FaultKind;
+using fault::FaultPlan;
+using fault::FaultRates;
+
+const std::array<mc::DistributionKind, 3> kKinds = {
+    mc::DistributionKind::HTree, mc::DistributionKind::Spine,
+    mc::DistributionKind::TrixGrid};
+
+/** A compiled scenario with the layout it was compiled from. */
+struct Scenario
+{
+    std::unique_ptr<layout::Layout> layout;
+    mc::ResilienceScenario s;
+
+    Scenario(int side, mc::DistributionKind kind)
+        : layout(std::make_unique<layout::Layout>(
+              layout::meshLayout(side, side)))
+    {
+        s = mc::compileResilienceScenario(*layout, side, side, kind, 0.05,
+                                          mc::ResilienceConfig{},
+                                          core::directCompile());
+    }
+};
+
+/** The oracle: desim arrivals of @p plan, delays drawn from @p rng as
+ *  the resilience delay model defines them. */
+std::vector<Time>
+desimArrivals(const mc::ResilienceScenario &s, const FaultPlan &plan,
+              Rng &rng)
+{
+    const mc::ResilienceConfig &rc = s.rc;
+    std::vector<Time> arrival;
+    if (s.kind == mc::DistributionKind::TrixGrid) {
+        fault::simulateGridArrivalsUnderFaults(
+            *s.kernel, s.rows, s.cols,
+            [&](int, int, int) {
+                return rc.bufferDelay +
+                       rng.uniform(rc.delay.lo(), rc.delay.hi());
+            },
+            plan, arrival);
+    } else {
+        fault::simulateTreeArrivalsUnderFaults(
+            *s.kernel, s.btree,
+            [&](const clocktree::BufferedSite &site, std::size_t) {
+                const double unit =
+                    rng.uniform(rc.delay.lo(), rc.delay.hi());
+                return desim::EdgeDelays::same(
+                    site.wireFromParent * unit +
+                    (site.isBuffer ? rc.bufferDelay : 0.0));
+            },
+            plan, arrival);
+    }
+    return arrival;
+}
+
+/**
+ * Run @p plan through cellArrivals and through desim on copies of one
+ * delay stream; expect bitwise-equal arrivals and equal draw counts.
+ * Returns cellArrivals' verdict (true = compiled pass ran).
+ */
+bool
+expectMatchesOracle(const mc::ResilienceScenario &s, const FaultPlan &plan,
+                    std::uint64_t delay_seed, const std::string &what)
+{
+    Rng compiledRng(delay_seed);
+    Rng desimRng(delay_seed);
+    std::vector<Time> got(s.kernel->cellCount(), -1.0);
+    const bool compiled = s.cellArrivals(plan, compiledRng, got.data());
+    const std::vector<Time> want = desimArrivals(s, plan, desimRng);
+    EXPECT_EQ(compiledRng.draws(), desimRng.draws()) << what;
+    EXPECT_EQ(got.size(), want.size()) << what;
+    for (std::size_t c = 0; c < got.size() && c < want.size(); ++c) {
+        if (std::bit_cast<std::uint64_t>(got[c]) !=
+            std::bit_cast<std::uint64_t>(want[c])) {
+            ADD_FAILURE() << what << ": cell " << c << " compiled "
+                          << got[c] << " desim " << want[c] << " ("
+                          << plan.size() << " faults)";
+            break;
+        }
+    }
+    return compiled;
+}
+
+/** A hand-built fault striking at t = 0. */
+Fault
+immediate(FaultKind kind, std::size_t site, double magnitude = 1.0,
+          bool stuck_high = false)
+{
+    return Fault{kind, site, 0.0, magnitude, stuck_high};
+}
+
+FaultPlan
+planOf(std::initializer_list<Fault> faults)
+{
+    FaultPlan plan;
+    for (const Fault &f : faults)
+        plan.add(f);
+    return plan;
+}
+
+TEST(ResilienceCompiled, RandomOnsetZeroPlansMatchDesim)
+{
+    const std::array<double, 5> rates = {0.01, 0.03, 0.1, 0.2, 0.3};
+    for (const mc::DistributionKind kind : kKinds) {
+        std::size_t plans = 0;
+        std::array<std::size_t, fault::faultKindCount> byKind{};
+        for (const auto &[side, count] :
+             {std::pair{5, 250}, std::pair{8, 200}, std::pair{16, 100}}) {
+            const Scenario sc(side, kind);
+            for (int t = 0; t < count; ++t) {
+                const double rate = rates[t % rates.size()];
+                // Alternate the sweep profile with all kinds at `rate`,
+                // which packs stuck-at and glitch faults densely.
+                const FaultRates fr = t % 2 ? FaultRates::uniform(rate)
+                                            : FaultRates::mixed(rate);
+                const FaultPlan plan =
+                    FaultPlan::forTrial(sc.s.universe, fr, 0xc0de, t);
+                for (const Fault &f : plan.faults())
+                    ++byKind[static_cast<std::size_t>(f.kind)];
+                const std::string what =
+                    mc::distributionKindName(kind) + " " +
+                    std::to_string(side) + "x" + std::to_string(side) +
+                    " plan " + std::to_string(t);
+                EXPECT_TRUE(expectMatchesOracle(sc.s, plan, 1000 + t, what))
+                    << what;
+                ++plans;
+            }
+        }
+        EXPECT_GE(plans, 500u);
+        for (int k = 0; k < 4; ++k)
+            EXPECT_GT(byKind[static_cast<std::size_t>(k)], 100u)
+                << mc::distributionKindName(kind) << " kind " << k;
+    }
+}
+
+TEST(ResilienceCompiled, TreeEdgeCasesMatchDesim)
+{
+    for (const mc::DistributionKind kind :
+         {mc::DistributionKind::HTree, mc::DistributionKind::Spine}) {
+        const Scenario sc(8, kind);
+        const mc::ResilienceScenario &s = sc.s;
+        // A leaf site, its parent and an ancestor two levels above.
+        const std::size_t leaf = s.cellSite[9];
+        const std::size_t mid = s.siteParent[leaf];
+        const std::size_t top = s.siteParent[mid];
+        ASSERT_GT(top, 0u);
+        const double width = FaultRates{}.glitchWidth;
+        const std::vector<std::pair<std::string, FaultPlan>> cases = {
+            {"glitch on the root",
+             planOf({immediate(FaultKind::TransientGlitch, 0, width)})},
+            {"stuck-high root",
+             planOf({immediate(FaultKind::StuckAtNet, 0, 1.0, true)})},
+            {"stuck-low root + glitch on the root",
+             planOf({immediate(FaultKind::StuckAtNet, 0),
+                     immediate(FaultKind::TransientGlitch, 0, width)})},
+            {"stuck-low root + glitched leaf",
+             planOf({immediate(FaultKind::StuckAtNet, 0),
+                     immediate(FaultKind::TransientGlitch, leaf, width)})},
+            {"stuck-high + glitch on one net",
+             planOf({immediate(FaultKind::StuckAtNet, mid, 1.0, true),
+                     immediate(FaultKind::TransientGlitch, mid, width)})},
+            {"stuck-low ancestor, glitched descendant",
+             planOf({immediate(FaultKind::StuckAtNet, top),
+                     immediate(FaultKind::TransientGlitch, leaf, width)})},
+            {"dead stage under a glitched net",
+             planOf({immediate(FaultKind::DeadBuffer, leaf - 1),
+                     immediate(FaultKind::TransientGlitch, mid, width)})},
+            {"dead + drifting stage, stuck-high parent",
+             planOf({immediate(FaultKind::DeadBuffer, mid - 1),
+                     immediate(FaultKind::DelayDrift, mid - 1, 2.5),
+                     immediate(FaultKind::StuckAtNet, top, 1.0, true)})},
+            {"drift below a glitch",
+             planOf({immediate(FaultKind::DelayDrift, leaf - 1, 1.75),
+                     immediate(FaultKind::DelayDrift, mid - 1, 2.25),
+                     immediate(FaultKind::TransientGlitch, top, width)})},
+            {"stuck-high then stuck-low on one net",
+             planOf({immediate(FaultKind::StuckAtNet, mid, 1.0, true),
+                     immediate(FaultKind::StuckAtNet, mid)})},
+        };
+        for (const auto &[name, plan] : cases) {
+            const std::string what =
+                mc::distributionKindName(kind) + ": " + name;
+            EXPECT_TRUE(expectMatchesOracle(s, plan, 7, what)) << what;
+        }
+    }
+}
+
+TEST(ResilienceCompiled, TrixEdgeCasesMatchDesim)
+{
+    const int side = 8;
+    const Scenario sc(side, mc::DistributionKind::TrixGrid);
+    const mc::ResilienceScenario &s = sc.s;
+    const std::size_t root = static_cast<std::size_t>(side * side);
+    const auto node = [&](int r, int c) {
+        return static_cast<std::size_t>(r * side + c);
+    };
+    const auto link = [&](int r, int c, int k) {
+        return 3 * node(r, c) + static_cast<std::size_t>(k);
+    };
+    const double width = FaultRates{}.glitchWidth;
+    const std::vector<std::pair<std::string, FaultPlan>> cases = {
+        {"glitch on the root",
+         planOf({immediate(FaultKind::TransientGlitch, root, width)})},
+        {"stuck-low root",
+         planOf({immediate(FaultKind::StuckAtNet, root)})},
+        {"stuck-low root, glitched layer-2 node",
+         planOf({immediate(FaultKind::StuckAtNet, root),
+                 immediate(FaultKind::TransientGlitch, node(2, 3), width)})},
+        {"two dead links into one node",
+         planOf({immediate(FaultKind::DeadBuffer, link(3, 4, 0)),
+                 immediate(FaultKind::DeadBuffer, link(3, 4, 1))})},
+        {"three dead links, glitched node",
+         planOf({immediate(FaultKind::DeadBuffer, link(3, 4, 0)),
+                 immediate(FaultKind::DeadBuffer, link(3, 4, 1)),
+                 immediate(FaultKind::DeadBuffer, link(3, 4, 2)),
+                 immediate(FaultKind::TransientGlitch, node(3, 4), width)})},
+        {"left edge: far link dead, doubled links vote",
+         planOf({immediate(FaultKind::DeadBuffer, link(4, 0, 2)),
+                 immediate(FaultKind::DelayDrift, link(4, 0, 0), 2.0)})},
+        {"left edge: one doubled link dead, other drifting",
+         planOf({immediate(FaultKind::DeadBuffer, link(4, 0, 0)),
+                 immediate(FaultKind::DelayDrift, link(4, 0, 1), 2.9)})},
+        {"right edge: both doubled links dead",
+         planOf({immediate(FaultKind::DeadBuffer, link(5, side - 1, 1)),
+                 immediate(FaultKind::DeadBuffer, link(5, side - 1, 2))})},
+        {"stuck-high + glitch on one node",
+         planOf({immediate(FaultKind::StuckAtNet, node(1, 1), 1.0, true),
+                 immediate(FaultKind::TransientGlitch, node(1, 1), width)})},
+        {"stuck-low ancestor, glitched descendant",
+         planOf({immediate(FaultKind::StuckAtNet, node(2, 2)),
+                 immediate(FaultKind::StuckAtNet, node(2, 3)),
+                 immediate(FaultKind::TransientGlitch, node(4, 3), width)})},
+        {"glitched node feeding drifted links",
+         planOf({immediate(FaultKind::DelayDrift, link(3, 2, 1), 1.6),
+                 immediate(FaultKind::DelayDrift, link(3, 2, 2), 2.4),
+                 immediate(FaultKind::TransientGlitch, node(2, 2), width)})},
+    };
+    for (const auto &[name, plan] : cases)
+        EXPECT_TRUE(expectMatchesOracle(s, plan, 11, "trix: " + name))
+            << name;
+}
+
+TEST(ResilienceCompiled, UncoveredPlansFallBackToDesim)
+{
+    for (const mc::DistributionKind kind : kKinds) {
+        const Scenario sc(5, kind);
+        const std::string name = mc::distributionKindName(kind);
+        // The same dead buffer at t = 0 and striking mid-pulse.
+        const FaultPlan early = planOf({immediate(FaultKind::DeadBuffer, 3)});
+        FaultPlan late;
+        late.add(Fault{FaultKind::DeadBuffer, 3, 0.3, 1.0, false});
+        EXPECT_FALSE(expectMatchesOracle(sc.s, late, 5, name + " late"));
+        EXPECT_TRUE(expectMatchesOracle(sc.s, early, 5, name + " early"));
+        // A stage killed after a stuck-high net already rose through it.
+        const FaultPlan reordered =
+            planOf({immediate(FaultKind::StuckAtNet, 0, 1.0, true),
+                    immediate(FaultKind::DeadBuffer, 0)});
+        EXPECT_FALSE(
+            expectMatchesOracle(sc.s, reordered, 5, name + " reordered"));
+    }
+}
+
+TEST(ResilienceCompiled, FutureOnsetTrialsAreCountedFallbacks)
+{
+    for (const mc::DistributionKind kind : kKinds) {
+        Scenario sc(5, kind);
+        sc.s.rates = FaultRates::mixed(0.2);
+        sc.s.rates.onsetWindow = 0.5;
+        obs::MetricsRegistry reg;
+        mc::TrialCounters counters;
+        counters.desimFallbacks =
+            &reg.counter("mc.resilience.desim_fallbacks");
+
+        const std::uint64_t seed = 0xfa11;
+        std::uint64_t expected = 0;
+        for (std::uint64_t t = 0; t < 12; ++t) {
+            const fault::DistributionOutcome got =
+                sc.s.runTrial(seed, t, &counters);
+            const Rng trialRng = Rng::forTrial(seed, t);
+            Rng planRng = trialRng.deriveStream(mc::planSalt);
+            Rng delayRng = trialRng.deriveStream(mc::delaySalt);
+            const FaultPlan plan =
+                FaultPlan::generate(sc.s.universe, sc.s.rates, planRng);
+            expected += plan.empty() ? 0 : 1;
+            const std::vector<Time> want =
+                desimArrivals(sc.s, plan, delayRng);
+            ASSERT_EQ(got.cellArrival.size(), want.size());
+            for (std::size_t c = 0; c < want.size(); ++c)
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(got.cellArrival[c]),
+                          std::bit_cast<std::uint64_t>(want[c]))
+                    << mc::distributionKindName(kind) << " trial " << t;
+        }
+        EXPECT_GT(expected, 0u);
+        EXPECT_EQ(counters.desimFallbacks->value(), expected)
+            << mc::distributionKindName(kind);
+    }
+}
+
+TEST(ResilienceCompiled, MeteredMixedSweepsNeverFallBack)
+{
+    const layout::Layout l = layout::meshLayout(8, 8);
+    for (const mc::DistributionKind kind : kKinds) {
+        obs::MetricsRegistry reg;
+        mc::McConfig cfg;
+        cfg.trials = 24;
+        cfg.threads = 2;
+        cfg.metrics = &reg;
+        const std::vector<mc::ResiliencePoint> curve = mc::degradationCurve(
+            l, 8, 8, kind, {0.05, 0.3}, mc::ResilienceConfig{}, cfg);
+        ASSERT_EQ(curve.size(), 2u);
+        EXPECT_GT(curve[1].meanFaults, 0.0);
+        EXPECT_NE(reg.toJsonString().find("mc.resilience.desim_fallbacks"),
+                  std::string::npos);
+        EXPECT_EQ(reg.counter("mc.resilience.desim_fallbacks").value(), 0u)
+            << mc::distributionKindName(kind);
+    }
+}
+
+TEST(ResilienceCompiled, CurvePointsEqualPerRateSweeps)
+{
+    // degradationCurve compiles once and reuses one pool; every point
+    // must still be bitwise the standalone resilienceAtRate sweep.
+    const layout::Layout l = layout::meshLayout(6, 6);
+    const std::vector<double> rates{0.0, 0.05, 0.3};
+    mc::McConfig cfg;
+    cfg.seed = 0xc0e;
+    cfg.trials = 29;
+    cfg.grain = 5;
+    cfg.threads = 2;
+    for (const mc::DistributionKind kind : kKinds) {
+        const std::vector<mc::ResiliencePoint> curve = mc::degradationCurve(
+            l, 6, 6, kind, rates, mc::ResilienceConfig{}, cfg);
+        ASSERT_EQ(curve.size(), rates.size());
+        for (std::size_t r = 0; r < rates.size(); ++r) {
+            const mc::ResiliencePoint p =
+                mc::resilienceAtRate(l, 6, 6, kind, rates[r],
+                                     mc::ResilienceConfig{}, cfg);
+            EXPECT_EQ(curve[r].faultRate, p.faultRate);
+            EXPECT_TRUE(curve[r].maxCommSkew.bitIdentical(p.maxCommSkew));
+            EXPECT_TRUE(
+                curve[r].clockedFraction.bitIdentical(p.clockedFraction));
+            EXPECT_EQ(curve[r].meanFaults, p.meanFaults);
+        }
+    }
+}
+
+} // namespace
