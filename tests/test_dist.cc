@@ -41,14 +41,18 @@ const core::WireDelay kDelay{0.05, 0.005};
 /** A fleet of real in-process ScenarioServers. */
 struct Fleet
 {
+    /** Per-server metrics; declared first so they outlive the servers. */
+    std::vector<std::unique_ptr<obs::MetricsRegistry>> metrics;
     std::vector<std::unique_ptr<net::ScenarioServer>> servers;
     std::vector<dist::WorkerEndpoint> endpoints;
 
     explicit Fleet(unsigned n, unsigned compute_threads = 2)
     {
         for (unsigned i = 0; i < n; ++i) {
+            metrics.push_back(std::make_unique<obs::MetricsRegistry>());
             net::ServerConfig sc;
             sc.computeThreads = compute_threads;
+            sc.metrics = metrics.back().get();
             auto s = std::make_unique<net::ScenarioServer>(sc);
             EXPECT_TRUE(s->start());
             endpoints.push_back(
@@ -58,23 +62,39 @@ struct Fleet
     }
 };
 
-/** Bind-then-close: a loopback port with nothing listening on it. */
-std::uint16_t
-deadPort()
+/**
+ * A loopback port with nothing listening on it. The socket stays bound
+ * (never listening) for the object's lifetime, so connects are refused
+ * and no other socket can claim the port in the meantime.
+ */
+class DeadPort
 {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = 0;
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr *>(&addr),
-                     sizeof(addr)),
-              0);
-    socklen_t len = sizeof(addr);
-    ::getsockname(fd, reinterpret_cast<sockaddr *>(&addr), &len);
-    ::close(fd);
-    return ntohs(addr.sin_port);
-}
+  public:
+    DeadPort() : fd(::socket(AF_INET, SOCK_STREAM, 0))
+    {
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_port = 0;
+        ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+        EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr *>(&addr),
+                         sizeof(addr)),
+                  0);
+        socklen_t len = sizeof(addr);
+        ::getsockname(fd, reinterpret_cast<sockaddr *>(&addr), &len);
+        boundPort = ntohs(addr.sin_port);
+    }
+
+    ~DeadPort() { ::close(fd); }
+
+    DeadPort(const DeadPort &) = delete;
+    DeadPort &operator=(const DeadPort &) = delete;
+
+    std::uint16_t port() const { return boundPort; }
+
+  private:
+    int fd;
+    std::uint16_t boundPort = 0;
+};
 
 /** Fast-failing coordinator knobs for tests. */
 dist::DistConfig
@@ -307,8 +327,17 @@ TEST(Dist, WorkerKilledMidRunIsReassignedAndStaysBitIdentical)
     cfg.pool.failureBudget = 2;
     dist::Coordinator coord(cfg);
 
+    // Stop worker 1 once it has answered its first shard: provably
+    // mid-run, however fast the host (a fixed delay can land after the
+    // batch already finished).
     std::thread killer([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        const obs::Counter &served =
+            fleet.metrics[1]->counter("net.requests.completed");
+        const auto giveUp =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (served.value() == 0 &&
+               std::chrono::steady_clock::now() < giveUp)
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
         fleet.servers[1]->stop();
     });
     const dist::DistOutcome out = coord.run(batch);
@@ -332,8 +361,9 @@ TEST(Dist, DeadEndpointInTheFleetIsRoutedAround)
     const LocalReference ref(batch);
 
     Fleet fleet(1);
+    const DeadPort dead;
     std::vector<dist::WorkerEndpoint> eps = fleet.endpoints;
-    eps.push_back(dist::WorkerEndpoint{"127.0.0.1", deadPort()});
+    eps.push_back(dist::WorkerEndpoint{"127.0.0.1", dead.port()});
     dist::DistConfig cfg = testConfig(eps);
     // One refused connect is enough: the endpoint is declared Dead
     // before the (fast) batch can finish, making the health assertion
@@ -353,9 +383,10 @@ TEST(Dist, DeadEndpointInTheFleetIsRoutedAround)
 TEST(Dist, WholeFleetDeadYieldsPartialOutcomesNotAHang)
 {
     const std::vector<net::WireRequest> batch = mixedBatch();
+    const DeadPort deadA, deadB;
     std::vector<dist::WorkerEndpoint> eps = {
-        dist::WorkerEndpoint{"127.0.0.1", deadPort()},
-        dist::WorkerEndpoint{"127.0.0.1", deadPort()}};
+        dist::WorkerEndpoint{"127.0.0.1", deadA.port()},
+        dist::WorkerEndpoint{"127.0.0.1", deadB.port()}};
     dist::Coordinator coord(testConfig(eps));
     const dist::DistOutcome out = coord.run(batch);
 
@@ -534,7 +565,9 @@ TEST(Dist, BatchDeadlineYieldsPartialWithExactMask)
     cfg.hedge = false;
     dist::Coordinator coord(cfg);
     dist::DistOptions opts;
-    opts.deadlineSeconds = 0.15;
+    // Far below the batch's run time on any host; the assertions below
+    // also hold when the deadline strikes before the first shard.
+    opts.deadlineSeconds = 0.02;
     const dist::DistOutcome out = coord.run(batch, opts);
 
     EXPECT_TRUE(out.deadlineExpired);
