@@ -14,56 +14,20 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
-#include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "layout/generators.hh"
 #include "mc/resilience.hh"
+#include "test_util.hh"
 
 namespace
 {
 
 using namespace vsync;
 
-/** FNV-1a over the bit patterns of doubles. */
-class Fnv
-{
-  public:
-    void
-    add(double v)
-    {
-        std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
-        for (int b = 0; b < 8; ++b, bits >>= 8) {
-            h ^= bits & 0xff;
-            h *= 0x100000001b3ULL;
-        }
-    }
-
-    void
-    add(const std::vector<double> &vs)
-    {
-        for (const double v : vs)
-            add(v);
-    }
-
-    std::string
-    hex() const
-    {
-        char buf[17];
-        std::snprintf(buf, sizeof(buf), "%016llx",
-                      static_cast<unsigned long long>(h));
-        return buf;
-    }
-
-  private:
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-};
+using testutil::Fnv;
 
 /** The digest file's contents, recomputed from the current code. */
 std::string
@@ -101,24 +65,9 @@ computeDigests()
 
 TEST(ResilienceGolden, DigestsMatchTheFrozenFile)
 {
-    const std::string got = computeDigests();
-    const std::string path =
-        std::string(VSYNC_GOLDEN_DIR) + "/resilience_digests.txt";
-
-    if (std::getenv("VSYNC_REGEN_GOLDEN")) {
-        std::ofstream file(path);
-        file << got;
-        ASSERT_TRUE(file.good()) << "failed to write " << path;
-    }
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good())
-        << "missing golden file " << path
-        << " (regenerate with VSYNC_REGEN_GOLDEN=1 ./test_resilience_golden)";
-    std::ostringstream want;
-    want << in.rdbuf();
-    EXPECT_EQ(got, want.str())
-        << "resilience sample bits diverged from the golden digests";
+    testutil::expectMatchesGolden(
+        std::string(VSYNC_GOLDEN_DIR) + "/resilience_digests.txt",
+        computeDigests(), "test_resilience_golden");
 }
 
 } // namespace
