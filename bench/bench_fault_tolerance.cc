@@ -79,9 +79,10 @@ exhaustiveTreePass(const layout::Layout &l,
                    const mc::ResilienceConfig &rc)
 {
     const auto delay_of = nominalTreeDelays(rc);
+    const core::SkewKernel kernel(l, tree); // one compile per pass
     SingleFaultSummary s;
     const fault::DistributionOutcome healthy =
-        fault::simulateTreeUnderFaults(l, tree, btree, delay_of,
+        fault::simulateTreeUnderFaults(kernel, btree, delay_of,
                                        fault::FaultPlan());
     s.healthySkew = healthy.maxCommSkew;
     s.healthyClockedFraction = healthy.clockedFraction;
@@ -89,7 +90,7 @@ exhaustiveTreePass(const layout::Layout &l,
     for (std::size_t e = 0; e < s.sites; ++e) {
         const fault::DistributionOutcome out =
             fault::simulateTreeUnderFaults(
-                l, tree, btree, delay_of,
+                kernel, btree, delay_of,
                 fault::FaultPlan::singleDeadBuffer(e));
         s.masked += out.clockedFraction >= 1.0;
         s.skewExact += out.maxCommSkew == healthy.maxCommSkew;
@@ -104,9 +105,10 @@ SingleFaultSummary
 exhaustiveGridPass(const layout::Layout &l, const mc::ResilienceConfig &rc)
 {
     const auto delay_of = nominalGridDelays(rc);
+    const core::SkewKernel kernel(l); // pairs-only, one per pass
     SingleFaultSummary s;
     const fault::DistributionOutcome healthy =
-        fault::simulateGridUnderFaults(l, rows, cols, delay_of,
+        fault::simulateGridUnderFaults(kernel, rows, cols, delay_of,
                                        fault::FaultPlan());
     s.healthySkew = healthy.maxCommSkew;
     s.healthyClockedFraction = healthy.clockedFraction;
@@ -114,7 +116,7 @@ exhaustiveGridPass(const layout::Layout &l, const mc::ResilienceConfig &rc)
     for (std::size_t link = 0; link < s.sites; ++link) {
         const fault::DistributionOutcome out =
             fault::simulateGridUnderFaults(
-                l, rows, cols, delay_of,
+                kernel, rows, cols, delay_of,
                 fault::FaultPlan::singleDeadBuffer(link));
         const bool all_clocked = out.clockedFraction >= 1.0;
         s.masked += all_clocked;

@@ -349,6 +349,28 @@ SkewKernel::sampleMaxCommSkewBlock(const WireDelay &delay,
     maxCommSkewBlock(scratch, out_skew);
 }
 
+std::uint64_t
+SkewKernel::sampleMaxCommSkewRange(const WireDelay &delay,
+                                   std::uint64_t seed,
+                                   std::uint64_t first_trial,
+                                   std::span<Time> out,
+                                   std::vector<Time> &scratch) const
+{
+    const std::size_t blockW = blockWidth();
+    std::array<Rng, maxLanes> lanes;
+    std::uint64_t draws = 0;
+    for (std::size_t i = 0; i < out.size(); i += blockW) {
+        const std::size_t w = std::min(blockW, out.size() - i);
+        for (std::size_t j = 0; j < w; ++j)
+            lanes[j] = Rng::forTrial(seed, first_trial + i + j);
+        sampleMaxCommSkewBlock(delay, {lanes.data(), w}, out.subspan(i, w),
+                               scratch);
+        for (std::size_t j = 0; j < w; ++j)
+            draws += lanes[j].draws();
+    }
+    return draws;
+}
+
 ArrivalSkew
 SkewKernel::arrivalSkew(std::span<const Time> cell_arrival) const
 {

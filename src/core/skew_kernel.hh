@@ -38,6 +38,9 @@
  * advances its own Rng in lockstep and replays the scalar draw
  * sequence exactly, so blocked results are BIT-IDENTICAL to the scalar
  * path at every width; blockWidth() picks W by a one-shot autotune.
+ * sampleMaxCommSkewRange() is the one trial loop over those blocks:
+ * every Monte-Carlo skew sweep, local or served, runs its trials
+ * through it.
  * A kernel is immutable after construction and safe to share read-only
  * across threads; the query counters are relaxed atomics.
  */
@@ -241,6 +244,22 @@ class SkewKernel
                                 std::span<Rng> lanes,
                                 std::span<Time> out_skew,
                                 std::vector<Time> &scratch) const;
+
+    /**
+     * The Monte-Carlo range entry point: trials [first_trial,
+     * first_trial + out.size()) of the scenario, trial i sampled on
+     * Rng::forTrial(seed, i), driven blockWidth() lanes at a time
+     * through sampleMaxCommSkewBlock() with a narrower remainder
+     * block; out[k] receives trial first_trial + k's max comm skew.
+     * Every width is bit-identical, so results do not depend on how a
+     * sweep splits its trials into ranges. @p scratch is reusable
+     * across calls on the same thread. Returns the RNG draws consumed.
+     */
+    std::uint64_t sampleMaxCommSkewRange(const WireDelay &delay,
+                                         std::uint64_t seed,
+                                         std::uint64_t first_trial,
+                                         std::span<Time> out,
+                                         std::vector<Time> &scratch) const;
 
     /** Blocked arrivalSkew(): evaluate a lane-major per-cell arrival
      *  matrix (cellCount() * laneStride(out.size()) slots, infinity =

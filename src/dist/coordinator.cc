@@ -518,22 +518,15 @@ Coordinator::run(const std::vector<net::WireRequest> &batch,
         }
     }
 
-    // Fold: identical preallocation and reduction to SweepService's
-    // phase 2/4, with remotely computed samples in the slots.
+    // Fold: the same outcome layout (prepareOutcome) and reduction
+    // (foldOutcomeInTrialOrder) as SweepService, with remotely
+    // computed samples in the slots.
     std::vector<std::uint8_t> trialDone;
     for (std::size_t r = 0; r < batch.size(); ++r) {
         const net::WireRequest &rq = batch[r];
         const bool isSkew = rq.kind == net::QueryKind::Skew;
         serve::RequestOutcome &o = out.outcomes[r];
-        o.trialsRequested = rq.trials;
-        if (isSkew) {
-            o.skew.samples.assign(rq.trials, 0.0);
-        } else {
-            o.resilience.faultRate = rq.faultRate;
-            o.resilience.maxCommSkew.samples.assign(rq.trials, 0.0);
-            o.resilience.clockedFraction.samples.assign(rq.trials, 0.0);
-            o.faultSamples.assign(rq.trials, 0.0);
-        }
+        serve::prepareOutcome(isSkew, rq.trials, rq.faultRate, o);
         trialDone.assign(rq.trials, 0);
         for (const ShardInfo &s : st.shards) {
             if (s.unit.request != r || s.state != ShardState::Won)

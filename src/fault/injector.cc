@@ -210,29 +210,6 @@ simulateTreeUnderFaults(const core::SkewKernel &kernel,
     return out;
 }
 
-DistributionOutcome
-simulateTreeUnderFaults(const layout::Layout &l,
-                        const clocktree::ClockTree &tree,
-                        const clocktree::BufferedClockTree &btree,
-                        const desim::ClockNet::DelayFn &delay_of,
-                        const FaultPlan &plan)
-{
-    return simulateTreeUnderFaults(core::SkewKernel(l, tree), btree,
-                                   delay_of, plan);
-}
-
-DistributionOutcome
-simulateTreeUnderFaults(const layout::Layout &l,
-                        const clocktree::ClockTree &tree,
-                        const clocktree::BufferedClockTree &btree,
-                        const desim::ClockNet::DelayFn &delay_of,
-                        const FaultPlan &plan,
-                        const core::KernelProvider &kernels)
-{
-    return simulateTreeUnderFaults(*kernels(l, &tree), btree, delay_of,
-                                   plan);
-}
-
 void
 simulateGridArrivalsUnderFaults(const core::SkewKernel &kernel, int rows,
                                 int cols,
@@ -263,25 +240,6 @@ simulateGridUnderFaults(const core::SkewKernel &kernel, int rows,
                                     out.cellArrival);
     finishOutcome(kernel, plan, out);
     return out;
-}
-
-DistributionOutcome
-simulateGridUnderFaults(const layout::Layout &l, int rows, int cols,
-                        const TrixGrid::LinkDelayFn &delay_of,
-                        const FaultPlan &plan)
-{
-    return simulateGridUnderFaults(core::SkewKernel(l), rows, cols,
-                                   delay_of, plan);
-}
-
-DistributionOutcome
-simulateGridUnderFaults(const layout::Layout &l, int rows, int cols,
-                        const TrixGrid::LinkDelayFn &delay_of,
-                        const FaultPlan &plan,
-                        const core::KernelProvider &kernels)
-{
-    return simulateGridUnderFaults(*kernels(l, nullptr), rows, cols,
-                                   delay_of, plan);
 }
 
 } // namespace vsync::fault

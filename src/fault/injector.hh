@@ -29,7 +29,6 @@
 #include "fault/fault_plan.hh"
 #include "fault/trix_grid.hh"
 #include "hybrid/handshake.hh"
-#include "layout/layout.hh"
 
 namespace vsync::obs
 {
@@ -145,30 +144,6 @@ simulateTreeArrivalsUnderFaults(const core::SkewKernel &kernel,
                                 std::vector<Time> &cell_arrival);
 
 /**
- * Convenience overload compiling the kernel per call. Sweeps should
- * compile once and use the kernel overload.
- */
-DistributionOutcome
-simulateTreeUnderFaults(const layout::Layout &l,
-                        const clocktree::ClockTree &tree,
-                        const clocktree::BufferedClockTree &btree,
-                        const desim::ClockNet::DelayFn &delay_of,
-                        const FaultPlan &plan);
-
-/**
- * As the convenience overload, but the kernel is fetched from
- * @p kernels (pass serve::ScenarioCache::provider() so repeated
- * single-shot drivers over the same scenario reuse one compile).
- */
-DistributionOutcome
-simulateTreeUnderFaults(const layout::Layout &l,
-                        const clocktree::ClockTree &tree,
-                        const clocktree::BufferedClockTree &btree,
-                        const desim::ClockNet::DelayFn &delay_of,
-                        const FaultPlan &plan,
-                        const core::KernelProvider &kernels);
-
-/**
  * Drive one clock pulse through a rows x cols TRIX grid clocking the
  * kernel's cells row-major (cell r * cols + c under node (r, c)) with
  * @p plan armed and measure what arrives. @p kernel may be pairs-only
@@ -189,19 +164,6 @@ simulateGridArrivalsUnderFaults(const core::SkewKernel &kernel, int rows,
                                 const TrixGrid::LinkDelayFn &delay_of,
                                 const FaultPlan &plan,
                                 std::vector<Time> &cell_arrival);
-
-/** Convenience overload compiling a pairs-only kernel per call. */
-DistributionOutcome
-simulateGridUnderFaults(const layout::Layout &l, int rows, int cols,
-                        const TrixGrid::LinkDelayFn &delay_of,
-                        const FaultPlan &plan);
-
-/** As above with the pairs-only kernel fetched from @p kernels. */
-DistributionOutcome
-simulateGridUnderFaults(const layout::Layout &l, int rows, int cols,
-                        const TrixGrid::LinkDelayFn &delay_of,
-                        const FaultPlan &plan,
-                        const core::KernelProvider &kernels);
 
 } // namespace vsync::fault
 

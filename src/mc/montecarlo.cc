@@ -68,14 +68,10 @@ recordSweepMetrics(obs::MetricsRegistry &reg, const std::string &name,
                  : 0.0);
 }
 
-McResult
-runTrials(ThreadPool &pool, const McConfig &cfg, const TrialFn &fn)
+void
+runChunks(ThreadPool &pool, const McConfig &cfg, const ChunkFn &chunk)
 {
-    VSYNC_ASSERT(static_cast<bool>(fn), "null trial function");
     cfg.validate();
-    McResult r;
-    r.samples.assign(cfg.trials, 0.0);
-
     // Observability: RNG consumption is summed with a relaxed atomic
     // (integer adds commute, so the total is schedule-independent) and
     // the sweep is wall-clock timed only when a registry is attached.
@@ -84,20 +80,11 @@ runTrials(ThreadPool &pool, const McConfig &cfg, const TrialFn &fn)
     if (cfg.metrics)
         wall0 = std::chrono::steady_clock::now();
 
-    pool.parallelForRange(
-        cfg.trials, cfg.grain,
-        [&](std::size_t begin, std::size_t end) {
-            std::uint64_t chunk_draws = 0;
-            for (std::size_t i = begin; i < end; ++i) {
-                Rng rng = Rng::forTrial(cfg.seed, i);
-                r.samples[i] = fn(i, rng);
-                if (cfg.metrics)
-                    chunk_draws += rng.draws();
-            }
-            if (cfg.metrics)
-                draws.fetch_add(chunk_draws, std::memory_order_relaxed);
-        });
-    reduceInTrialOrder(r);
+    pool.parallelForRange(cfg.trials, cfg.grain,
+                          [&](std::size_t begin, std::size_t end) {
+                              draws.fetch_add(chunk(begin, end),
+                                              std::memory_order_relaxed);
+                          });
 
     if (cfg.metrics) {
         const double wall =
@@ -107,14 +94,54 @@ runTrials(ThreadPool &pool, const McConfig &cfg, const TrialFn &fn)
         recordSweepMetrics(*cfg.metrics, cfg.metricsName, cfg.trials,
                            wall, draws.load(std::memory_order_relaxed));
     }
+}
+
+void
+runChunks(const McConfig &cfg, const ChunkFn &chunk)
+{
+    ThreadPool pool(cfg.threads);
+    runChunks(pool, cfg, chunk);
+}
+
+namespace
+{
+
+/** runTrials on @p pool, or on a pool of its own when null. */
+McResult
+runTrialsOn(ThreadPool *pool, const McConfig &cfg, const TrialFn &fn)
+{
+    VSYNC_ASSERT(static_cast<bool>(fn), "null trial function");
+    McResult r;
+    r.samples.assign(cfg.trials, 0.0);
+    const ChunkFn chunk = [&](std::size_t begin, std::size_t end) {
+        std::uint64_t draws = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+            Rng rng = Rng::forTrial(cfg.seed, i);
+            r.samples[i] = fn(i, rng);
+            draws += rng.draws();
+        }
+        return draws;
+    };
+    if (pool)
+        runChunks(*pool, cfg, chunk);
+    else
+        runChunks(cfg, chunk);
+    reduceInTrialOrder(r);
     return r;
+}
+
+} // namespace
+
+McResult
+runTrials(ThreadPool &pool, const McConfig &cfg, const TrialFn &fn)
+{
+    return runTrialsOn(&pool, cfg, fn);
 }
 
 McResult
 runTrials(const McConfig &cfg, const TrialFn &fn)
 {
-    ThreadPool pool(cfg.threads);
-    return runTrials(pool, cfg, fn);
+    return runTrialsOn(nullptr, cfg, fn);
 }
 
 } // namespace vsync::mc

@@ -112,9 +112,9 @@ struct TrialCounters
  * buffered form, or the grid dimensions), its fault universe and
  * rates, the compiled kernel and the flat first-arrival arrays.
  * Immutable after compile; safe to share across threads.
- * serve::SweepService compiles one of these per resilience request
- * (kernel via the scenario cache) and runs its trials on the shared
- * pool.
+ * runTrialRange is the one trial loop: the mc:: sweeps and
+ * serve::SweepService (one scenario per resilience request, kernel via
+ * the scenario cache) both call it per chunk of trials.
  *
  * A trial's first arrivals come from one forward pass. Under a plan
  * whose faults all apply at t = 0, with A = first rising arrival and
@@ -186,17 +186,35 @@ struct ResilienceScenario
      * lane-major cell matrix, and one
      * core::SkewKernel::arrivalSkewBlock call reduces the block --
      * trial j's slots are bitwise what runTrial would have produced.
-     * @p count <= core::SkewKernel::maxLanes; callers drive this with
-     * kernel->blockWidth() and a narrower remainder block.
-     * @p lane_scratch is resized once and reusable across calls on the
-     * same thread.
+     * @p count <= core::SkewKernel::maxLanes. @p lane_scratch is
+     * resized once and reusable across calls on the same thread.
+     * Returns the RNG draws of the plan and delay substreams.
      */
-    void runTrialBlock(std::uint64_t seed, std::uint64_t first_trial,
-                       std::size_t count, std::span<double> out_skew,
-                       std::span<double> out_clocked,
-                       std::span<double> out_faults,
-                       const TrialCounters *counters,
-                       std::vector<Time> &lane_scratch) const;
+    std::uint64_t runTrialBlock(std::uint64_t seed,
+                                std::uint64_t first_trial,
+                                std::size_t count,
+                                std::span<double> out_skew,
+                                std::span<double> out_clocked,
+                                std::span<double> out_faults,
+                                const TrialCounters *counters,
+                                std::vector<Time> &lane_scratch) const;
+
+    /**
+     * The Monte-Carlo range entry point: trials [first_trial,
+     * first_trial + out_skew.size()), driven kernel->blockWidth()
+     * trials at a time through runTrialBlock with a narrower
+     * remainder block; slot k of each output span receives trial
+     * first_trial + k. Every width is bit-identical, so results do
+     * not depend on how a sweep splits its trials into ranges.
+     * Returns the RNG draws consumed.
+     */
+    std::uint64_t runTrialRange(std::uint64_t seed,
+                                std::uint64_t first_trial,
+                                std::span<double> out_skew,
+                                std::span<double> out_clocked,
+                                std::span<double> out_faults,
+                                const TrialCounters *counters,
+                                std::vector<Time> &scratch) const;
 };
 
 /**
@@ -216,25 +234,17 @@ compileResilienceScenario(const layout::Layout &l, int rows, int cols,
  * layout @p l (cells row-major). Each trial arms
  * fault::FaultRates::mixed(fault_rate) on the distribution and drives
  * one clock pulse; trial i draws its plan and its wire delays from
- * disjoint substreams of Rng::forTrial(cfg.seed, i).
+ * disjoint substreams of Rng::forTrial(cfg.seed, i). The kernel comes
+ * from @p kernels (pass serve::ScenarioCache::provider() to amortise
+ * the compile across sweeps); results do not depend on the provider.
+ * With cfg.metrics set, the sweep records the runChunks counters
+ * under "mc.<metricsName>." plus one "mc.resilience.faults.<kind>"
+ * inc per planned fault and "mc.resilience.desim_fallbacks".
  */
-ResiliencePoint resilienceAtRate(const layout::Layout &l, int rows,
-                                 int cols, DistributionKind kind,
-                                 double fault_rate,
-                                 const ResilienceConfig &rc,
-                                 const McConfig &cfg);
-
-/**
- * As above with the kernel fetched from @p kernels (pass
- * serve::ScenarioCache::provider() to amortise the compile across
- * sweeps). Bit-identical to the direct-compile overload.
- */
-ResiliencePoint resilienceAtRate(const layout::Layout &l, int rows,
-                                 int cols, DistributionKind kind,
-                                 double fault_rate,
-                                 const ResilienceConfig &rc,
-                                 const McConfig &cfg,
-                                 const core::KernelProvider &kernels);
+ResiliencePoint resilienceAtRate(
+    const layout::Layout &l, int rows, int cols, DistributionKind kind,
+    double fault_rate, const ResilienceConfig &rc, const McConfig &cfg,
+    const core::KernelProvider &kernels = core::directCompile());
 
 /**
  * The graceful-degradation curve: resilienceAtRate at every rate of

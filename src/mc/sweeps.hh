@@ -36,27 +36,20 @@ namespace vsync::mc
 /**
  * Maximum realised communicating skew per sampled chip: cfg.trials
  * chips, each with per-wire unit delays drawn from
- * [delay.lo(), delay.hi()]. Compiles one core::SkewKernel for the
- * scenario, shares it read-only across the worker threads, and runs
- * trials kernel.blockWidth() lanes at a time through the blocked
- * entry points; results are bit-identical to the pre-kernel per-chip
- * sampler for the same cfg.seed at any width. When cfg.metrics
- * is set, the kernel's stats are exported under
+ * [delay.lo(), delay.hi()]. Fetches one core::SkewKernel for the
+ * scenario from @p kernels -- pass serve::ScenarioCache::provider() so
+ * repeated sweeps over the same (layout, tree) reuse one compile --
+ * shares it read-only across the worker threads, and runs each chunk
+ * through core::SkewKernel::sampleMaxCommSkewRange; results are
+ * bit-identical to the pre-kernel per-chip sampler for the same
+ * cfg.seed, whatever the provider or lane width. When cfg.metrics is
+ * set, the kernel's stats are exported under
  * "mc.<metricsName>.kernel." alongside the sweep counters.
  */
 McResult skewSweep(const layout::Layout &l, const clocktree::ClockTree &t,
-                   const core::WireDelay &delay, const McConfig &cfg);
-
-/**
- * As above, but the scenario's kernel is fetched from @p kernels
- * instead of compiled directly -- pass
- * serve::ScenarioCache::provider() so repeated sweeps over the same
- * (layout, tree) reuse one compile. Results are bit-identical to the
- * direct-compile overload for the same cfg.
- */
-McResult skewSweep(const layout::Layout &l, const clocktree::ClockTree &t,
                    const core::WireDelay &delay, const McConfig &cfg,
-                   const core::KernelProvider &kernels);
+                   const core::KernelProvider &kernels =
+                       core::directCompile());
 
 /**
  * Minimum pipelined cycle time per fabricated n-stage inverter string

@@ -19,17 +19,12 @@ using Clock = std::chrono::steady_clock;
 /** A request's precompiled shared state. */
 struct Compiled
 {
-    bool isSkew = false;
     /** False when cancellation pre-empted the compile. */
     bool ready = false;
     /** Skew requests: the cached kernel. */
     std::shared_ptr<const core::SkewKernel> kernel;
     /** Resilience requests: the full scenario. */
     mc::ResilienceScenario scenario;
-    /** The kernel's autotuned lane width, resolved at compile time so
-     *  the (one-shot) tune never runs inside a timed work unit. A
-     *  cache hit reuses the width tuned at first compile. */
-    std::size_t width = 1;
 };
 
 const mc::McConfig &
@@ -99,13 +94,14 @@ SweepService::run(const std::vector<SweepRequest> &batch,
     std::atomic<bool> deadlineHit{false};
 
     // Phase 1 -- compile. Kernels come through the cache, so repeated
-    // scenarios within the batch (and across batches) compile once.
+    // scenarios within the batch (and across batches) compile once,
+    // and the cache pre-tunes each kernel's lane width, so the tune
+    // never runs inside a timed work unit.
     // Cancellation and the deadline are honoured between compiles; a
     // request whose compile was skipped contributes no work units.
     std::vector<Compiled> compiled(batch.size());
     for (std::size_t r = 0; r < batch.size(); ++r) {
         configOf(batch[r]).validate();
-        out.outcomes[r].trialsRequested = configOf(batch[r]).trials;
         if (externallyCancelled())
             continue;
         if (expiredOnArrival ||
@@ -116,9 +112,7 @@ SweepService::run(const std::vector<SweepRequest> &batch,
         if (const SkewRequest *s = std::get_if<SkewRequest>(&batch[r])) {
             VSYNC_ASSERT(s->layout && s->tree,
                          "skew request %zu lacks layout or tree", r);
-            compiled[r].isSkew = true;
             compiled[r].kernel = kernels.get(*s->layout, *s->tree);
-            compiled[r].width = compiled[r].kernel->blockWidth();
             compiled[r].ready = true;
         } else {
             const ResilienceRequest &q =
@@ -128,8 +122,6 @@ SweepService::run(const std::vector<SweepRequest> &batch,
             compiled[r].scenario = mc::compileResilienceScenario(
                 *q.layout, q.rows, q.cols, q.kind, q.faultRate, q.rc,
                 kernels.provider());
-            compiled[r].width =
-                compiled[r].scenario.kernel->blockWidth();
             compiled[r].ready = true;
         }
     }
@@ -141,20 +133,12 @@ SweepService::run(const std::vector<SweepRequest> &batch,
     std::vector<WorkUnit> units;
     for (std::size_t r = 0; r < batch.size(); ++r) {
         const mc::McConfig &mcc = configOf(batch[r]);
-        RequestOutcome &o = out.outcomes[r];
-        if (isSkewRequest(batch[r])) {
-            o.skew.samples.assign(mcc.trials, 0.0);
-        } else {
-            const ResilienceRequest &q =
-                std::get<ResilienceRequest>(batch[r]);
-            o.resilience.faultRate = q.faultRate;
-            o.resilience.maxCommSkew.samples.assign(mcc.trials, 0.0);
-            o.resilience.clockedFraction.samples.assign(mcc.trials, 0.0);
-            o.faultSamples.assign(mcc.trials, 0.0);
-        }
-        if (!compiled[r].ready)
-            continue;
-        appendWorkUnits(r, mcc.trials, mcc.grain, units);
+        const ResilienceRequest *q =
+            std::get_if<ResilienceRequest>(&batch[r]);
+        prepareOutcome(!q, mcc.trials, q ? q->faultRate : 0.0,
+                       out.outcomes[r]);
+        if (compiled[r].ready)
+            appendWorkUnits(r, mcc.trials, mcc.grain, units);
     }
 
     // Phase 3 -- run the units of all requests interleaved on the one
@@ -164,8 +148,7 @@ SweepService::run(const std::vector<SweepRequest> &batch,
     pool.parallelForRange(
         units.size(), 1,
         [&](std::size_t ub, std::size_t ue) {
-            std::vector<Time> arrival; // lane scratch, reused per unit
-            std::vector<Rng> lanes;
+            std::vector<Time> scratch; // lane scratch, reused across units
             for (std::size_t u = ub; u < ue; ++u) {
                 if (externallyCancelled())
                     stopToken.cancel();
@@ -176,54 +159,32 @@ SweepService::run(const std::vector<SweepRequest> &batch,
                 if (stopToken.cancelled())
                     return;
                 const WorkUnit &w = units[u];
+                const Compiled &c = compiled[w.request];
                 const mc::McConfig &mcc = configOf(batch[w.request]);
                 RequestOutcome &o = out.outcomes[w.request];
-                // Lane-blocked trial loops: blocks restart at every
-                // unit boundary, so shard/grain choices cannot change
-                // a bit of the output (each lane replays its global
-                // substream regardless of neighbours).
-                const std::size_t blockW = compiled[w.request].width;
-                if (compiled[w.request].isSkew) {
-                    const SkewRequest &s =
-                        std::get<SkewRequest>(batch[w.request]);
-                    const core::SkewKernel &kernel =
-                        *compiled[w.request].kernel;
-                    for (std::size_t i = w.begin; i < w.end;
-                         i += blockW) {
-                        const std::size_t bw =
-                            std::min(blockW, w.end - i);
-                        // The substream index is global: a shard of a
-                        // sharded parent request (trialOffset != 0)
-                        // draws the same streams the parent would.
-                        lanes.clear();
-                        for (std::size_t j = 0; j < bw; ++j)
-                            lanes.push_back(Rng::forTrial(
-                                mcc.seed, s.trialOffset + i + j));
-                        kernel.sampleMaxCommSkewBlock(
-                            s.delay, {lanes.data(), bw},
-                            {o.skew.samples.data() + i, bw}, arrival);
-                    }
+                const std::size_t n = w.end - w.begin;
+                // The substream index is global: a shard of a sharded
+                // parent request (trialOffset != 0) draws the same
+                // streams the parent would, and the range entry points
+                // restart their lane blocks at every unit, so
+                // shard/grain choices cannot change a bit.
+                if (const SkewRequest *s =
+                        std::get_if<SkewRequest>(&batch[w.request])) {
+                    c.kernel->sampleMaxCommSkewRange(
+                        s->delay, mcc.seed, s->trialOffset + w.begin,
+                        {o.skew.samples.data() + w.begin, n}, scratch);
                 } else {
                     const ResilienceRequest &q =
                         std::get<ResilienceRequest>(batch[w.request]);
-                    const mc::ResilienceScenario &sc =
-                        compiled[w.request].scenario;
-                    for (std::size_t i = w.begin; i < w.end;
-                         i += blockW) {
-                        const std::size_t bw =
-                            std::min(blockW, w.end - i);
-                        sc.runTrialBlock(
-                            mcc.seed, q.trialOffset + i, bw,
-                            {o.resilience.maxCommSkew.samples.data() +
-                                 i,
-                             bw},
-                            {o.resilience.clockedFraction.samples
-                                     .data() +
-                                 i,
-                             bw},
-                            {o.faultSamples.data() + i, bw}, nullptr,
-                            arrival);
-                    }
+                    c.scenario.runTrialRange(
+                        mcc.seed, q.trialOffset + w.begin,
+                        {o.resilience.maxCommSkew.samples.data() + w.begin,
+                         n},
+                        {o.resilience.clockedFraction.samples.data() +
+                             w.begin,
+                         n},
+                        {o.faultSamples.data() + w.begin, n}, nullptr,
+                        scratch);
                 }
                 unitDone[u] = 1;
             }

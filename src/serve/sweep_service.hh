@@ -12,8 +12,10 @@
  * across requests or batches compile once.
  *
  * Determinism: a request's trials are computed exactly as the
- * corresponding mc:: entry point computes them -- same Rng::forTrial
- * streams, same per-trial code, reduction in trial order -- so a
+ * corresponding mc:: entry point computes them -- the same range entry
+ * point (core::SkewKernel::sampleMaxCommSkewRange or
+ * mc::ResilienceScenario::runTrialRange) per work unit, the same
+ * Rng::forTrial streams, reduction in trial order -- so a
  * Complete outcome is bit-identical to mc::skewSweep /
  * mc::resilienceAtRate at any pool width.
  *

@@ -32,6 +32,21 @@ decomposeWorkUnits(const std::vector<SweepRequest> &batch)
 }
 
 void
+prepareOutcome(bool is_skew, std::size_t trials, double fault_rate,
+               RequestOutcome &o)
+{
+    o.trialsRequested = trials;
+    if (is_skew) {
+        o.skew.samples.assign(trials, 0.0);
+        return;
+    }
+    o.resilience.faultRate = fault_rate;
+    o.resilience.maxCommSkew.samples.assign(trials, 0.0);
+    o.resilience.clockedFraction.samples.assign(trials, 0.0);
+    o.faultSamples.assign(trials, 0.0);
+}
+
+void
 foldOutcomeInTrialOrder(bool is_skew,
                         const std::vector<std::uint8_t> &trialDone,
                         RequestOutcome &o)

@@ -1,6 +1,6 @@
 /**
  * @file
- * The sharding and folding seams of the serving layer, exposed.
+ * The sharding, layout and folding seams of the serving layer, exposed.
  *
  * SweepService splits every request's trials into grain-sized
  * WorkUnits and, after the fan-out, folds the per-trial samples back
@@ -54,6 +54,17 @@ void appendWorkUnits(std::size_t request, std::size_t trials,
  */
 std::vector<WorkUnit>
 decomposeWorkUnits(const std::vector<SweepRequest> &batch);
+
+/**
+ * Lay out @p o for a request of @p trials trials before any sample
+ * arrives: trialsRequested, and zero-filled per-trial slots -- skew:
+ * o.skew.samples; resilience: o.resilience.*.samples and
+ * o.faultSamples, with o.resilience.faultRate = @p fault_rate. The
+ * local service and the distributed fold both lay outcomes out here,
+ * so their slots cannot drift apart.
+ */
+void prepareOutcome(bool is_skew, std::size_t trials, double fault_rate,
+                    RequestOutcome &o);
 
 /**
  * Fold @p o's already-filled per-trial samples into its statistics,

@@ -231,6 +231,59 @@ TEST(SkewBlock, ResilienceRunTrialBlockMatchesRunTrial)
     }
 }
 
+TEST(SkewBlock, RangeEntryPointsMatchScalarAndCountDraws)
+{
+    // A range starting mid-stream whose length leaves a remainder
+    // block at any width: every slot is the scalar trial, and the
+    // returned draw count is the scalar draw count.
+    constexpr std::uint64_t seed = 0x4a11;
+    constexpr std::uint64_t first = 17;
+    constexpr std::size_t n = 23;
+    for (const auto &[l, tree] : treeScenarios()) {
+        const SkewKernel kernel(l, tree);
+        std::vector<Time> out(n), scratch;
+        const std::uint64_t draws = kernel.sampleMaxCommSkewRange(
+            kDelay, seed, first, out, scratch);
+        std::uint64_t want_draws = 0;
+        for (std::size_t k = 0; k < n; ++k) {
+            Rng rng = Rng::forTrial(seed, first + k);
+            EXPECT_EQ(out[k], kernel.sampleMaxCommSkew(kDelay, rng, scratch))
+                << "trial " << first + k;
+            want_draws += rng.draws();
+        }
+        EXPECT_EQ(draws, want_draws);
+    }
+
+    const layout::Layout l = layout::meshLayout(5, 5);
+    for (const auto kind : {mc::DistributionKind::HTree,
+                            mc::DistributionKind::TrixGrid}) {
+        const mc::ResilienceScenario scenario =
+            mc::compileResilienceScenario(l, 5, 5, kind, 0.05,
+                                          mc::ResilienceConfig{},
+                                          core::directCompile());
+        std::vector<double> skew(n), clocked(n), faults(n);
+        std::vector<Time> scratch;
+        const std::uint64_t draws = scenario.runTrialRange(
+            seed, first, skew, clocked, faults, nullptr, scratch);
+        std::uint64_t want_draws = 0;
+        for (std::size_t k = 0; k < n; ++k) {
+            const fault::DistributionOutcome ref =
+                scenario.runTrial(seed, first + k);
+            EXPECT_EQ(skew[k], ref.maxCommSkew) << "trial " << first + k;
+            EXPECT_EQ(clocked[k], ref.clockedFraction)
+                << "trial " << first + k;
+            EXPECT_EQ(faults[k], static_cast<double>(ref.faultCount))
+                << "trial " << first + k;
+            double s, c, f;
+            want_draws += scenario.runTrialBlock(
+                seed, first + k, 1, {&s, 1}, {&c, 1}, {&f, 1}, nullptr,
+                scratch);
+        }
+        EXPECT_EQ(draws, want_draws) << mc::distributionKindName(kind);
+        EXPECT_GT(draws, 0u);
+    }
+}
+
 TEST(SkewBlock, SweepServiceBitIdenticalAcrossThreadCounts)
 {
     // The blocked work-unit loops must preserve the service's
