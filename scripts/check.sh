@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Tier-1 verify plus sanitizer passes over the concurrent subsystems:
-# ThreadSanitizer and AddressSanitizer over the parallel Monte-Carlo
-# engine, the serving layer and the network front end. Run from the
-# repo root:
+# Tier-1 verify, a flakiness pass over the socket tests, and sanitizer
+# passes over the concurrent subsystems: ThreadSanitizer,
+# AddressSanitizer and UndefinedBehaviorSanitizer over the parallel
+# Monte-Carlo engine, the serving layer and the network front end. Run
+# from the repo root:
 #
-#   scripts/check.sh          # full tier-1 + TSan + ASan
+#   scripts/check.sh          # full tier-1 + repeat + TSan + ASan + UBSan
 #   scripts/check.sh --fast   # tier-1 only
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -25,6 +26,10 @@ if [[ "${1:-}" == "--fast" ]]; then
     exit 0
 fi
 
+echo "== repeat: socket tests 20x, stop at the first failure =="
+(cd build && ctest --output-on-failure --repeat until-fail:20 \
+    -R '^test_(net|dist)$' -j"$JOBS")
+
 echo "== TSan: parallel MC engine + skew kernel + fault sweeps + observability + serving + net + dist =="
 cmake -B build-tsan -S . -DVSYNC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS" --target "${SAN_TARGETS[@]}"
@@ -34,5 +39,10 @@ echo "== ASan: same targets under AddressSanitizer =="
 cmake -B build-asan -S . -DVSYNC_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$JOBS" --target "${SAN_TARGETS[@]}"
 (cd build-asan && ctest --output-on-failure -R "$SAN_REGEX")
+
+echo "== UBSan: same targets under UndefinedBehaviorSanitizer =="
+cmake -B build-ubsan -S . -DVSYNC_SANITIZE=undefined >/dev/null
+cmake --build build-ubsan -j"$JOBS" --target "${SAN_TARGETS[@]}"
+(cd build-ubsan && ctest --output-on-failure -R "$SAN_REGEX")
 
 echo "== all checks passed =="
