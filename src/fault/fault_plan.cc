@@ -131,6 +131,7 @@ FaultPlan::generate(const FaultUniverse &universe, const FaultRates &rates,
             }
             plan.list.push_back(f);
         }
+        plan.drawCount += stream.draws();
     }
     return plan;
 }

@@ -161,11 +161,20 @@ class FaultPlan
     /** Append one fault (for hand-built plans in tests/benches). */
     void add(const Fault &f) { list.push_back(f); }
 
+    /**
+     * RNG draws generate() consumed over its per-kind substreams (0
+     * for hand-built plans). The substreams are derived, so the
+     * caller's rng never sees these draws; exact draw accounting of a
+     * trial adds them here.
+     */
+    std::uint64_t draws() const { return drawCount; }
+
     /** True when both plans list identical faults in the same order. */
     bool operator==(const FaultPlan &other) const;
 
   private:
     std::vector<Fault> list;
+    std::uint64_t drawCount = 0;
 };
 
 } // namespace vsync::fault
