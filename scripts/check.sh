@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verify, a flakiness pass over the socket tests, and sanitizer
 # passes over the concurrent subsystems: ThreadSanitizer,
-# AddressSanitizer and UndefinedBehaviorSanitizer over the parallel
-# Monte-Carlo engine, the serving layer and the network front end. Run
+# AddressSanitizer and UndefinedBehaviorSanitizer over the lane-kernel
+# RNG, the parallel Monte-Carlo engine, the serving layer and the
+# network front end. Run
 # from the repo root:
 #
 #   scripts/check.sh          # full tier-1 + repeat + TSan + ASan + UBSan
@@ -12,10 +13,10 @@ cd "$(dirname "$0")/.."
 
 JOBS=${JOBS:-$(nproc)}
 
-SAN_TARGETS=(test_parallel_mc test_skew_kernel test_skew_block
-             test_fault test_resilience_compiled test_obs test_serve
-             test_net test_dist)
-SAN_REGEX='^test_(parallel_mc|skew_kernel|skew_block|fault|resilience_compiled|obs|serve|net|dist)$'
+SAN_TARGETS=(test_common_rng test_parallel_mc test_skew_kernel
+             test_skew_block test_fault test_resilience_compiled test_obs
+             test_serve test_net test_dist)
+SAN_REGEX='^test_(common_rng|parallel_mc|skew_kernel|skew_block|fault|resilience_compiled|obs|serve|net|dist)$'
 
 echo "== tier-1: configure, build, ctest =="
 cmake -B build -S . >/dev/null
@@ -30,7 +31,7 @@ echo "== repeat: socket tests 20x, stop at the first failure =="
 (cd build && ctest --output-on-failure --repeat until-fail:20 \
     -R '^test_(net|dist)$' -j"$JOBS")
 
-echo "== TSan: parallel MC engine + skew kernel + fault sweeps + observability + serving + net + dist =="
+echo "== TSan: lane RNG + parallel MC engine + skew kernel + fault sweeps + observability + serving + net + dist =="
 cmake -B build-tsan -S . -DVSYNC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS" --target "${SAN_TARGETS[@]}"
 (cd build-tsan && ctest --output-on-failure -R "$SAN_REGEX")

@@ -36,6 +36,47 @@ rotl64(std::uint64_t x, int k)
 } // namespace detail
 
 /**
+ * Instruction sets the lane-interleaved xoshiro kernel
+ * (Rng::fillUniformLanes, Rng::propagateUniformLanes) can run on. Every
+ * ISA produces the same bytes: the generator is integer add/xor/shift/
+ * rotate, the u64 -> double conversion is exact, and multiply and add
+ * stay separate (never fused).
+ */
+enum class RngIsa : std::uint8_t
+{
+    /** Portable code: each lane's own strided fillUniform, the oracle. */
+    Scalar,
+    /** AVX2: two 4 x u64 vectors per state word per 8-lane group. */
+    Avx2,
+    /** AVX-512F + DQ (and AVX2): one 8 x u64 vector per state word. */
+    Avx512,
+};
+
+/** Lower-case name of @p isa ("scalar", "avx2", "avx512"). */
+const char *rngIsaName(RngIsa isa);
+
+/** True when this host can run @p isa (always true for Scalar). */
+bool rngIsaSupported(RngIsa isa);
+
+/** The widest ISA this host supports, detected once per process. */
+RngIsa rngIsaBest();
+
+/**
+ * A tree-propagation pass for Rng::propagateUniformLanes: step k sets
+ * row to[k] to row from[k] + u * scale[k] in every lane, u being that
+ * lane's next uniform(lo, hi) draw. Steps run in k order, so a step
+ * may read a row an earlier step wrote, and to[k] may equal from[k]
+ * (a row recycled in place).
+ */
+struct LaneSteps
+{
+    const std::int32_t *from = nullptr;
+    const std::int32_t *to = nullptr;
+    const double *scale = nullptr;
+    std::size_t count = 0;
+};
+
+/**
  * SplitMix64 generator, used to expand a single seed into a full state
  * vector and as a cheap standalone stream when quality demands are low.
  */
@@ -95,8 +136,9 @@ class Rng
      * calling uniform(lo, hi) once per slot, but with the xoshiro
      * state hoisted into registers for the whole span -- the scalar
      * path pays two non-inlined calls and a counter increment per
-     * draw, which dominates tight sampling loops. This is the bulk
-     * feed of SkewKernel::arrivalsBlock.
+     * draw, which dominates tight sampling loops. One lane of the
+     * scalar fillUniformLanes() is exactly this call, and it is the
+     * oracle every SIMD lane fill is tested against.
      */
     void fillUniform(double lo, double hi, std::span<double> out);
 
@@ -108,6 +150,35 @@ class Rng
      */
     void fillUniform(double lo, double hi, double *out,
                      std::size_t count, std::size_t stride);
+
+    /**
+     * Lane-interleaved fill: out[k * stride + j] receives lane j's k-th
+     * uniform(lo, hi) draw for k < count and j < lanes.size(). The
+     * lanes advance in lockstep, eight at a time in one vector per
+     * state word on the SIMD ISAs, and the slots and draws() counts
+     * are bitwise those of lanes[j].fillUniform(lo, hi, out + j, count,
+     * stride) on every ISA. Slots k * stride + j for j >= lanes.size()
+     * are untouched. @pre stride >= lanes.size(); @p isa supported.
+     */
+    static void fillUniformLanes(std::span<Rng> lanes, double lo,
+                                 double hi, double *out, std::size_t count,
+                                 std::size_t stride,
+                                 RngIsa isa = rngIsaBest());
+
+    /**
+     * fillUniformLanes() fused with a tree propagation: for each step
+     * k of @p steps, in order, rows[to[k] * stride + j] =
+     * rows[from[k] * stride + j] + u * scale[k], with u lane j's next
+     * uniform(lo, hi) draw -- the arrival recurrence
+     * arrival(v) = arrival(parent) + draw * wireLength(v), one draw
+     * per step per lane, so the draw matrix is never stored. Bitwise
+     * the per-lane scalar recurrence on every ISA.
+     * @pre stride >= lanes.size(); @p isa supported.
+     */
+    static void propagateUniformLanes(std::span<Rng> lanes, double lo,
+                                      double hi, const LaneSteps &steps,
+                                      double *rows, std::size_t stride,
+                                      RngIsa isa = rngIsaBest());
 
     /** Uniform integer in [0, n). @pre n > 0. */
     std::uint64_t uniformInt(std::uint64_t n);
@@ -157,6 +228,14 @@ class Rng
     static Rng forTrial(std::uint64_t seed, std::uint64_t trial);
 
   private:
+    /** The one body of fillUniformLanes (steps == nullptr) and
+     *  propagateUniformLanes: per 8-lane group, gather, run the ISA's
+     *  pass, scatter back. */
+    static void runLanes(std::span<Rng> lanes, double lo, double hi,
+                         const LaneSteps *steps, double *rows,
+                         std::size_t count, std::size_t stride,
+                         RngIsa isa);
+
     std::array<std::uint64_t, 4> s;
     double cachedNormal;
     bool hasCachedNormal;

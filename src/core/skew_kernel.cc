@@ -4,14 +4,87 @@
 #include <array>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "obs/metrics.hh"
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace vsync::core
 {
+
+namespace
+{
+
+// The compact fold: worst[j] = max(0, max over the pinned row pairs
+// (a[p], b[p]) of |row a - row b| in lane j), for the 8 lanes of a
+// compact scratch row. Subtract, absolute value and max are exact, and a max
+// does not depend on order, so every ISA yields the same bits; each
+// path keeps the eight running maxima in registers.
+
+void
+foldRowsScalar(const Time *rows, const std::int32_t *a,
+               const std::int32_t *b, std::size_t pairs, Time *worst)
+{
+    // Local maxima: stores through worst could alias rows.
+    Time acc[8] = {};
+    for (std::size_t p = 0; p < pairs; ++p) {
+        const Time *ra = rows + static_cast<std::size_t>(a[p]) * 8;
+        const Time *rb = rows + static_cast<std::size_t>(b[p]) * 8;
+        for (std::size_t j = 0; j < 8; ++j)
+            acc[j] = std::max(acc[j], std::fabs(ra[j] - rb[j]));
+    }
+    std::copy(acc, acc + 8, worst);
+}
+
+#if defined(__x86_64__)
+
+__attribute__((target("avx2"))) void
+foldRowsAvx2(const Time *rows, const std::int32_t *a,
+             const std::int32_t *b, std::size_t pairs, Time *worst)
+{
+    const __m256d magnitude =
+        _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
+    __m256d lo = _mm256_setzero_pd();
+    __m256d hi = _mm256_setzero_pd();
+    for (std::size_t p = 0; p < pairs; ++p) {
+        const Time *ra = rows + static_cast<std::size_t>(a[p]) * 8;
+        const Time *rb = rows + static_cast<std::size_t>(b[p]) * 8;
+        const __m256d dl = _mm256_and_pd(
+            _mm256_sub_pd(_mm256_loadu_pd(ra), _mm256_loadu_pd(rb)),
+            magnitude);
+        const __m256d dh = _mm256_and_pd(
+            _mm256_sub_pd(_mm256_loadu_pd(ra + 4), _mm256_loadu_pd(rb + 4)),
+            magnitude);
+        // max(x, acc) = x > acc ? x : acc, i.e. std::max(acc, x).
+        lo = _mm256_max_pd(dl, lo);
+        hi = _mm256_max_pd(dh, hi);
+    }
+    _mm256_storeu_pd(worst, lo);
+    _mm256_storeu_pd(worst + 4, hi);
+}
+
+#endif
+
+void
+foldRows(RngIsa isa, const Time *rows, const std::int32_t *a,
+         const std::int32_t *b, std::size_t pairs, Time *worst)
+{
+#if defined(__x86_64__)
+    // Both SIMD ISAs fold with AVX2 (every AVX-512 host has it); a
+    // one-zmm-per-row fold measured no faster.
+    if (isa != RngIsa::Scalar)
+        return foldRowsAvx2(rows, a, b, pairs, worst);
+#endif
+    foldRowsScalar(rows, a, b, pairs, worst);
+}
+
+} // namespace
 
 SkewKernel::SkewKernel(const layout::Layout &l)
 {
@@ -28,6 +101,7 @@ SkewKernel::SkewKernel(const layout::Layout &l,
     const auto t0 = std::chrono::steady_clock::now();
     compileTree(t);
     compilePairs(l, &t);
+    compileSlots();
     buildMs = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - t0)
                   .count();
@@ -184,6 +258,69 @@ SkewKernel::compileTree(const clocktree::ClockTree &t)
     }
 }
 
+void
+SkewKernel::compileSlots()
+{
+    // Fold endpoints are pinned: their rows must survive until the
+    // fold. So is the root, whose all-zero row is then written once per
+    // range call instead of once per block. Any other node's row is
+    // read only by its children, so it is
+    // released when its last child (the highest child id) takes a row
+    // -- that child may take the very row it reads, as the propagation
+    // reads a step's parent row before writing its own -- and a
+    // childless unpinned node releases its row at once. Released rows
+    // are reused most recent first, so a pre-order numbering keeps the
+    // live set to the pinned rows plus one open path.
+    const std::size_t n = nodeCount();
+    std::vector<char> pinned(n, 0);
+    pinned[0] = 1;
+    for (std::size_t i = 0; i < foldNodeA.size(); ++i)
+        pinned[foldNodeA[i]] = pinned[foldNodeB[i]] = 1;
+    std::vector<NodeId> lastChild(n, invalidId);
+    for (NodeId v = 1; static_cast<std::size_t>(v) < n; ++v)
+        lastChild[parentOf[v]] = v;
+
+    std::vector<std::int32_t> slot(n);
+    std::vector<std::int32_t> released;
+    std::int32_t rows = 0;
+    const auto take = [&] {
+        if (released.empty())
+            return rows++;
+        const std::int32_t r = released.back();
+        released.pop_back();
+        return r;
+    };
+    slot[0] = take();
+    slotFrom.resize(n - 1);
+    slotTo.resize(n - 1);
+    for (NodeId v = 1; static_cast<std::size_t>(v) < n; ++v) {
+        const NodeId p = parentOf[v];
+        if (lastChild[p] == v && !pinned[p])
+            released.push_back(slot[p]);
+        slot[v] = take();
+        if (lastChild[v] == invalidId && !pinned[v])
+            released.push_back(slot[v]);
+        slotFrom[v - 1] = slot[p];
+        slotTo[v - 1] = slot[v];
+    }
+    slotRows = static_cast<std::size_t>(rows);
+
+    const std::size_t npairs = foldNodeA.size();
+    std::vector<std::pair<std::int32_t, std::int32_t>> slotPairs(npairs);
+    for (std::size_t i = 0; i < npairs; ++i) {
+        const std::int32_t a = slot[foldNodeA[i]];
+        const std::int32_t b = slot[foldNodeB[i]];
+        slotPairs[i] = {std::min(a, b), std::max(a, b)};
+    }
+    std::sort(slotPairs.begin(), slotPairs.end());
+    foldSlotA.resize(npairs);
+    foldSlotB.resize(npairs);
+    for (std::size_t i = 0; i < npairs; ++i) {
+        foldSlotA[i] = slotPairs[i].first;
+        foldSlotB[i] = slotPairs[i].second;
+    }
+}
+
 NodeId
 SkewKernel::nca(NodeId a, NodeId b) const
 {
@@ -302,51 +439,25 @@ SkewKernel::arrivalsBlock(const WireDelay &delay, std::span<Rng> lanes,
     VSYNC_ASSERT(out.size() == nodeCount() * stride,
                  "%zu arrival slots for %zu nodes x stride %zu",
                  out.size(), nodeCount(), stride);
-    const double lo = delay.m - delay.eps;
-    const double hi = delay.m + delay.eps;
     Time *arr = out.data();
     for (std::size_t j = 0; j < width; ++j)
         arr[j] = 0.0;
-    // Node chunks keep the draw matrix L1-resident: each lane
-    // bulk-fills its strided column (one fillUniform call per lane per
-    // chunk, in node id order, so lane j consumes the exact scalar
-    // draw sequence of arrivals()), then the node-outer, lane-inner
-    // propagation reads the rows back. The arithmetic per lane is the
-    // identical expression shape as the scalar path, so every slot is
-    // bitwise what arrivals() would have produced for that lane's Rng.
+    // Node-major rows: step v writes row v from row parent(v), so the
+    // fused lane kernel replays arrivals() lane by lane. Chunks of 64
+    // nodes supply the row indices of the steps.
     constexpr std::size_t chunkNodes = 64;
-    alignas(64) double draw[chunkNodes * (maxLanes + 1)];
+    std::int32_t rowOf[chunkNodes];
     const std::size_t n = nodeCount();
     for (std::size_t v0 = 1; v0 < n; v0 += chunkNodes) {
         const std::size_t cnt = std::min(chunkNodes, n - v0);
-        for (std::size_t j = 0; j < width; ++j)
-            lanes[j].fillUniform(lo, hi, draw + j, cnt, stride);
-        for (std::size_t k = 0; k < cnt; ++k) {
-            const std::size_t v = v0 + k;
-            const Time *parentRow =
-                arr + static_cast<std::size_t>(parentOf[v]) * stride;
-            Time *row = arr + v * stride;
-            const double *drow = draw + k * stride;
-            const Length wl = wireLen[v];
-            for (std::size_t j = 0; j < width; ++j)
-                row[j] = parentRow[j] + drow[j] * wl;
-        }
+        for (std::size_t k = 0; k < cnt; ++k)
+            rowOf[k] = static_cast<std::int32_t>(v0 + k);
+        const LaneSteps steps{parentOf.data() + v0, rowOf,
+                              wireLen.data() + v0, cnt};
+        Rng::propagateUniformLanes(lanes, delay.lo(), delay.hi(), steps,
+                                   arr, stride);
     }
     batches.fetch_add(width, std::memory_order_relaxed);
-}
-
-void
-SkewKernel::sampleMaxCommSkewBlock(const WireDelay &delay,
-                                   std::span<Rng> lanes,
-                                   std::span<Time> out_skew,
-                                   std::vector<Time> &scratch) const
-{
-    VSYNC_ASSERT(out_skew.size() == lanes.size(),
-                 "%zu skew slots for %zu lanes", out_skew.size(),
-                 lanes.size());
-    scratch.resize(nodeCount() * laneStride(lanes.size()));
-    arrivalsBlock(delay, lanes, scratch);
-    maxCommSkewBlock(scratch, out_skew);
 }
 
 std::uint64_t
@@ -354,20 +465,42 @@ SkewKernel::sampleMaxCommSkewRange(const WireDelay &delay,
                                    std::uint64_t seed,
                                    std::uint64_t first_trial,
                                    std::span<Time> out,
-                                   std::vector<Time> &scratch) const
+                                   std::vector<Time> &scratch,
+                                   RngIsa isa) const
 {
-    const std::size_t blockW = blockWidth();
-    std::array<Rng, maxLanes> lanes;
+    VSYNC_ASSERT(hasTree(), "sampling needs a tree-compiled kernel");
+    VSYNC_ASSERT(delay.valid(), "bad delay parameters m=%g eps=%g",
+                 delay.m, delay.eps);
+    constexpr std::size_t W = blockWidth();
+    static_assert(W == 8, "foldRows works on 8-lane rows");
+    // Rows of W lanes aligned to 64 bytes: one cache line per row.
+    scratch.resize(slotRows * W + W);
+    const std::uintptr_t addr =
+        reinterpret_cast<std::uintptr_t>(scratch.data());
+    Time *rows = scratch.data() + (64 - addr % 64) % 64 / sizeof(Time);
+    const LaneSteps steps{slotFrom.data(), slotTo.data(),
+                          wireLen.data() + 1, nodeCount() - 1};
+    const std::size_t pairs = foldSlotA.size();
+    std::fill(rows, rows + W, 0.0); // the root's row, never overwritten
+    std::array<Rng, W> lanes;
     std::uint64_t draws = 0;
-    for (std::size_t i = 0; i < out.size(); i += blockW) {
-        const std::size_t w = std::min(blockW, out.size() - i);
+    for (std::size_t i = 0; i < out.size(); i += W) {
+        const std::size_t w = std::min(W, out.size() - i);
         for (std::size_t j = 0; j < w; ++j)
             lanes[j] = Rng::forTrial(seed, first_trial + i + j);
-        sampleMaxCommSkewBlock(delay, {lanes.data(), w}, out.subspan(i, w),
-                               scratch);
-        for (std::size_t j = 0; j < w; ++j)
+        Rng::propagateUniformLanes({lanes.data(), w}, delay.lo(),
+                                   delay.hi(), steps, rows, W, isa);
+        // Lanes past w hold stale rows; their maxima are dropped.
+        Time worst[W];
+        foldRows(isa, rows, foldSlotA.data(), foldSlotB.data(), pairs,
+                 worst);
+        for (std::size_t j = 0; j < w; ++j) {
+            out[i + j] = worst[j];
             draws += lanes[j].draws();
+        }
     }
+    batches.fetch_add(out.size(), std::memory_order_relaxed);
+    served.fetch_add(pairs * out.size(), std::memory_order_relaxed);
     return draws;
 }
 
@@ -428,67 +561,6 @@ SkewKernel::arrivalSkewBlock(std::span<const Time> lane_cell_arrival,
         out[j].pairCount = pairs;
     }
     served.fetch_add(pairs * width, std::memory_order_relaxed);
-}
-
-std::size_t
-SkewKernel::blockWidth() const
-{
-    std::call_once(tuneOnce, [this] { tunedWidth = autotuneWidth(); });
-    return tunedWidth;
-}
-
-std::size_t
-SkewKernel::autotuneWidth() const
-{
-    // A tiny best-of-reps sweep over widths 1..8 on this kernel's own
-    // arrays. The probe trial count per call equals the width, so the
-    // per-trial cost is bestMs / w; every width is bit-identical, so a
-    // noisy pick costs speed, never correctness. The counter traffic
-    // (batches/served) is a fixed function of the kernel shape --
-    // independent of the measured timings -- keeping metric exports
-    // deterministic across hosts and runs.
-    constexpr std::size_t probeMax = 8;
-    constexpr int reps = 3;
-    constexpr std::uint64_t probeSeed = 0x7a9eb10cULL;
-    if (!hasTree() && !cellCount())
-        return 1;
-    using ProbeClock = std::chrono::steady_clock;
-    const WireDelay probeDelay; // defaults are valid()
-    std::vector<Time> scratch;
-    std::array<Time, probeMax> skews;
-    std::array<ArrivalSkew, probeMax> surfaces;
-    std::vector<Rng> lanes;
-    lanes.reserve(probeMax);
-    double bestPerTrial = infinity;
-    std::size_t best = 1;
-    for (std::size_t w = 1; w <= probeMax; ++w) {
-        double bestMs = infinity;
-        for (int rep = 0; rep < reps; ++rep) {
-            const auto t0 = ProbeClock::now();
-            if (hasTree()) {
-                lanes.clear();
-                for (std::size_t j = 0; j < w; ++j)
-                    lanes.push_back(
-                        Rng::forTrial(probeSeed, w * probeMax + j));
-                sampleMaxCommSkewBlock(probeDelay, {lanes.data(), w},
-                                       {skews.data(), w}, scratch);
-            } else {
-                scratch.assign(cellCount() * laneStride(w), 0.0);
-                arrivalSkewBlock(scratch, {surfaces.data(), w});
-            }
-            const double ms =
-                std::chrono::duration<double, std::milli>(
-                    ProbeClock::now() - t0)
-                    .count();
-            bestMs = std::min(bestMs, ms);
-        }
-        const double perTrial = bestMs / static_cast<double>(w);
-        if (perTrial < bestPerTrial) {
-            bestPerTrial = perTrial;
-            best = w;
-        }
-    }
-    return best;
 }
 
 KernelProvider

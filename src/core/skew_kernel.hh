@@ -30,17 +30,18 @@
  * span, maxCommSkew() folds a node-arrival surface over the pairs, and
  * arrivalSkew() evaluates a per-cell arrival surface (the fault
  * subsystem's shared reduction). Each has a lane-blocked sibling
- * (arrivalsBlock / maxCommSkewBlock / sampleMaxCommSkewBlock /
- * arrivalSkewBlock) that carries W independent Monte-Carlo trial lanes
- * through one pass over the flat arrays -- node-outer, lane-inner over
- * a lane-major scratch whose row stride laneStride(W) is padded to an
- * odd count so power-of-two widths cannot alias cache sets. Each lane
- * advances its own Rng in lockstep and replays the scalar draw
- * sequence exactly, so blocked results are BIT-IDENTICAL to the scalar
- * path at every width; blockWidth() picks W by a one-shot autotune.
- * sampleMaxCommSkewRange() is the one trial loop over those blocks:
- * every Monte-Carlo skew sweep, local or served, runs its trials
- * through it.
+ * (arrivalsBlock / maxCommSkewBlock / arrivalSkewBlock) that carries W
+ * independent Monte-Carlo trial lanes through one pass over the flat
+ * arrays -- node-outer, lane-inner over a lane-major scratch whose row
+ * stride laneStride(W) is padded to an odd count so power-of-two widths
+ * cannot alias cache sets. The lanes' draws come from Rng::propagateUniformLanes, the lane-interleaved
+ * xoshiro kernel fused with the propagation, and each lane replays the
+ * scalar draw sequence exactly, so blocked results are BIT-IDENTICAL
+ * to the scalar path at every width and on every ISA.
+ * sampleMaxCommSkewRange() is the one trial loop: every Monte-Carlo
+ * skew sweep, local or served, runs its trials through it, a fixed
+ * blockWidth() = 8 lanes at a time over a compact scratch whose rows
+ * are recycled through a slot map built at compile time.
  * A kernel is immutable after construction and safe to share read-only
  * across threads; the query counters are relaxed atomics.
  */
@@ -52,19 +53,14 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "clocktree/clock_tree.hh"
+#include "common/rng.hh"
 #include "core/wire_delay.hh"
 #include "layout/layout.hh"
-
-namespace vsync
-{
-class Rng;
-} // namespace vsync
 
 namespace vsync::obs
 {
@@ -215,8 +211,8 @@ class SkewKernel
     /**
      * Blocked arrivals(): propagate lanes.size() independent trials in
      * one node-outer, lane-inner pass. Lane j advances lanes[j] through
-     * the exact scalar draw sequence (bulk strided Rng::fillUniform per
-     * node chunk), so row v of @p out holds, for every lane j,
+     * the exact scalar draw sequence (Rng::propagateUniformLanes over
+     * node chunks), so row v of @p out holds, for every lane j,
      * bitwise the value arrivals() would produce for that lane's Rng.
      *
      * @param out lane-major, nodeCount() * laneStride(lanes.size())
@@ -235,31 +231,25 @@ class SkewKernel
                           std::span<Time> out) const;
 
     /**
-     * arrivalsBlock() + maxCommSkewBlock(): the blocked Monte-Carlo
-     * per-trial hot path, evaluating lanes.size() trials per pass.
-     * @p scratch is resized to the lane-major matrix size once and
-     * reusable across calls on the same thread.
-     */
-    void sampleMaxCommSkewBlock(const WireDelay &delay,
-                                std::span<Rng> lanes,
-                                std::span<Time> out_skew,
-                                std::vector<Time> &scratch) const;
-
-    /**
      * The Monte-Carlo range entry point: trials [first_trial,
      * first_trial + out.size()) of the scenario, trial i sampled on
-     * Rng::forTrial(seed, i), driven blockWidth() lanes at a time
-     * through sampleMaxCommSkewBlock() with a narrower remainder
-     * block; out[k] receives trial first_trial + k's max comm skew.
-     * Every width is bit-identical, so results do not depend on how a
-     * sweep splits its trials into ranges. @p scratch is reusable
-     * across calls on the same thread. Returns the RNG draws consumed.
+     * Rng::forTrial(seed, i), blockWidth() lanes at a time with a
+     * narrower remainder block; out[k] receives trial first_trial + k's
+     * max comm skew. Each block runs one fused Rng::propagateUniformLanes
+     * pass on @p isa over the compact scratch (compactRows() rows of
+     * blockWidth() lanes, rows recycled by the slot map) and one fold
+     * over the pinned endpoint rows. Every ISA and block split is
+     * bit-identical to the scalar sampleMaxCommSkew(), so results do
+     * not depend on how a sweep splits its trials into ranges or on
+     * the host. @p scratch is reusable across calls on the same
+     * thread. Returns the RNG draws consumed.
      */
     std::uint64_t sampleMaxCommSkewRange(const WireDelay &delay,
                                          std::uint64_t seed,
                                          std::uint64_t first_trial,
                                          std::span<Time> out,
-                                         std::vector<Time> &scratch) const;
+                                         std::vector<Time> &scratch,
+                                         RngIsa isa = rngIsaBest()) const;
 
     /** Blocked arrivalSkew(): evaluate a lane-major per-cell arrival
      *  matrix (cellCount() * laneStride(out.size()) slots, infinity =
@@ -269,15 +259,23 @@ class SkewKernel
                           std::span<ArrivalSkew> out) const;
 
     /**
-     * The lane width the blocked entry points should be driven at on
-     * this host, in [1, 8]. The first call measures widths 1..8 once
-     * on this kernel's own arrays (a few dozen blocked trials) and
-     * caches the winner for the kernel's lifetime -- a ScenarioCache
-     * hit therefore reuses the tuned width along with the compiled
-     * arrays. Thread safe; every width is bit-identical, so the choice
-     * affects speed only, never results.
+     * The lane width the range entry points drive their blocks at: a
+     * fixed 8, one AVX-512 vector of doubles (two on AVX2) and one
+     * 64-byte cache line per compact scratch row. Every width is
+     * bit-identical, so the width affects speed only, never results.
      */
-    std::size_t blockWidth() const;
+    static constexpr std::size_t blockWidth() { return 8; }
+
+    /**
+     * Rows of sampleMaxCommSkewRange()'s compact lane scratch: the
+     * most node rows its slot map keeps live at once. The root and the
+     * fold endpoints keep their row for the whole pass; every other
+     * node's row is recycled once its last child (in id order) has
+     * read it. For the DFS pre-order H-tree builds that is cells + 1
+     * rows against nodeCount() = 3 cells - 1. 0 for a pairs-only
+     * kernel.
+     */
+    std::size_t compactRows() const { return slotRows; }
 
     /** Wall-clock milliseconds the compile took. */
     double buildMillis() const { return buildMs; }
@@ -310,7 +308,7 @@ class SkewKernel
     void compilePairs(const layout::Layout &l,
                       const clocktree::ClockTree *t);
     void compileTree(const clocktree::ClockTree &t);
-    std::size_t autotuneWidth() const;
+    void compileSlots();
 
     std::size_t cells = 0;
 
@@ -338,11 +336,17 @@ class SkewKernel
     std::vector<NodeId> foldNodeA, foldNodeB;
     std::vector<CellId> foldCellA, foldCellB;
 
+    // Compact-scratch slot map (tree kernels): step v - 1 of the range
+    // entry point's propagation writes row slotTo[v - 1] from row
+    // slotFrom[v - 1]; the fold reads pinned rows foldSlotA/B, sorted
+    // like the fold copies above. The root's row is row 0, pinned.
+    std::vector<std::int32_t> slotFrom, slotTo;
+    std::vector<std::int32_t> foldSlotA, foldSlotB;
+    std::size_t slotRows = 0;
+
     double buildMs = 0.0;
     mutable std::atomic<std::uint64_t> served{0};
     mutable std::atomic<std::uint64_t> batches{0};
-    mutable std::once_flag tuneOnce;
-    mutable std::size_t tunedWidth = 1;
 };
 
 /**

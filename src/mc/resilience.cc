@@ -447,7 +447,7 @@ ResilienceScenario::runTrialRange(std::uint64_t seed,
     const std::size_t n = out_skew.size();
     VSYNC_ASSERT(out_clocked.size() == n && out_faults.size() == n,
                  "output spans must cover the %zu range trials", n);
-    const std::size_t blockW = kernel->blockWidth();
+    constexpr std::size_t blockW = core::SkewKernel::blockWidth();
     std::uint64_t draws = 0;
     for (std::size_t i = 0; i < n; i += blockW) {
         const std::size_t w = std::min(blockW, n - i);
@@ -553,38 +553,51 @@ hybridSurvivalSweep(const hybrid::HybridNetwork &net, double fault_rate,
     fault::FaultRates rates;
     rates.severedHandshakeWire = fault_rate;
 
-    return runTrials(cfg, [&](std::uint64_t, Rng &rng) {
-        Rng plan_rng = rng.deriveStream(planSalt);
-        Rng jitter_rng = rng.deriveStream(delaySalt);
-        const fault::FaultPlan plan =
-            fault::FaultPlan::generate(universe, rates, plan_rng);
+    // A trial draws only from streams derived from its Rng::forTrial
+    // stream, never from that stream itself, so each chunk counts the
+    // plan's substream draws plus the jitter stream's.
+    McResult r;
+    r.samples.assign(cfg.trials, 0.0);
+    runChunks(cfg, [&](std::size_t begin, std::size_t end) {
+        std::uint64_t draws = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+            const Rng rng = Rng::forTrial(cfg.seed, i);
+            Rng plan_rng = rng.deriveStream(planSalt);
+            Rng jitter_rng = rng.deriveStream(delaySalt);
+            const fault::FaultPlan plan =
+                fault::FaultPlan::generate(universe, rates, plan_rng);
 
-        // Map severed wires back to their element pairs; either wire of
-        // a pair down means the handshake never completes.
-        std::unordered_set<std::uint64_t> cut;
-        for (const fault::Fault &f : plan.faults()) {
-            const graph::Edge &e = edges[f.site / 2];
-            const std::uint64_t lo = std::min(e.src, e.dst);
-            const std::uint64_t hi = std::max(e.src, e.dst);
-            cut.insert(lo << 32 | hi);
+            // Map severed wires back to their element pairs; either
+            // wire of a pair down means the handshake never completes.
+            std::unordered_set<std::uint64_t> cut;
+            for (const fault::Fault &f : plan.faults()) {
+                const graph::Edge &e = edges[f.site / 2];
+                const std::uint64_t lo = std::min(e.src, e.dst);
+                const std::uint64_t hi = std::max(e.src, e.dst);
+                cut.insert(lo << 32 | hi);
+            }
+            const hybrid::HybridNetwork::SeveredFn severed =
+                [&cut](int a, int b) {
+                    const std::uint64_t lo =
+                        static_cast<std::uint64_t>(std::min(a, b));
+                    const std::uint64_t hi =
+                        static_cast<std::uint64_t>(std::max(a, b));
+                    return cut.count(lo << 32 | hi) != 0;
+                };
+
+            const hybrid::HybridRunResult res =
+                net.simulate(rounds, &jitter_rng, severed);
+            std::size_t alive = 0;
+            for (const Time t : res.lastCompletion)
+                alive += t < infinity;
+            r.samples[i] = static_cast<double>(alive) /
+                           static_cast<double>(elements);
+            draws += plan.draws() + jitter_rng.draws();
         }
-        const hybrid::HybridNetwork::SeveredFn severed =
-            [&cut](int a, int b) {
-                const std::uint64_t lo =
-                    static_cast<std::uint64_t>(std::min(a, b));
-                const std::uint64_t hi =
-                    static_cast<std::uint64_t>(std::max(a, b));
-                return cut.count(lo << 32 | hi) != 0;
-            };
-
-        const hybrid::HybridRunResult res =
-            net.simulate(rounds, &jitter_rng, severed);
-        std::size_t alive = 0;
-        for (const Time t : res.lastCompletion)
-            alive += t < infinity;
-        return static_cast<double>(alive) /
-               static_cast<double>(elements);
+        return draws;
     });
+    reduceInTrialOrder(r);
+    return r;
 }
 
 } // namespace vsync::mc

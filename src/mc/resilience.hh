@@ -263,7 +263,9 @@ degradationCurve(const layout::Layout &l, int rows, int cols,
  * stalls, and the stall propagates to elements waiting on it -- the
  * observable is the surviving fraction after @p rounds rounds, showing
  * the locality of the damage (unlike a clock tree, a severed wire never
- * silences cells that do not wait on it).
+ * silences cells that do not wait on it). A trial's RNG draws -- its
+ * plan's substreams plus its jitter stream -- feed the sweep's
+ * rng_draws metric.
  */
 McResult hybridSurvivalSweep(const hybrid::HybridNetwork &net,
                              double fault_rate, int rounds,

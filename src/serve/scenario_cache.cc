@@ -173,10 +173,6 @@ ScenarioCache::getOrCompile(const ScenarioKey &key,
             KernelPtr kernel =
                 t ? std::make_shared<const core::SkewKernel>(l, *t)
                   : std::make_shared<const core::SkewKernel>(l);
-            // Pre-tune the blocked lane width here so the one-shot
-            // autotune is part of the (counted) compile cost and every
-            // cache hit reuses the choice along with the flat arrays.
-            kernel->blockWidth();
             const std::chrono::duration<double, std::milli> dt =
                 std::chrono::steady_clock::now() - t0;
             noteCompiled(dt.count());

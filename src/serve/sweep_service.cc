@@ -94,9 +94,7 @@ SweepService::run(const std::vector<SweepRequest> &batch,
     std::atomic<bool> deadlineHit{false};
 
     // Phase 1 -- compile. Kernels come through the cache, so repeated
-    // scenarios within the batch (and across batches) compile once,
-    // and the cache pre-tunes each kernel's lane width, so the tune
-    // never runs inside a timed work unit.
+    // scenarios within the batch (and across batches) compile once.
     // Cancellation and the deadline are honoured between compiles; a
     // request whose compile was skipped contributes no work units.
     std::vector<Compiled> compiled(batch.size());

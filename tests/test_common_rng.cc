@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/rng.hh"
 #include "common/stats.hh"
+#include "test_util.hh"
 
 namespace
 {
@@ -236,6 +239,127 @@ TEST(RngFill, BulkFillPreservesDeriveStream)
         const std::uint64_t v = da.next();
         ASSERT_EQ(v, db.next());
         ASSERT_EQ(v, dc.next());
+    }
+}
+
+// --- Lane-interleaved kernel: every ISA against the scalar oracle. ---
+
+/** Lanes on distinct streams, lane j already j * 3 draws in, so no two
+ *  lanes share a stream position. */
+std::vector<Rng>
+staggeredLanes(std::size_t lanes, std::uint64_t seed)
+{
+    std::vector<Rng> out;
+    for (std::size_t j = 0; j < lanes; ++j) {
+        out.push_back(Rng::forTrial(seed, j));
+        for (std::size_t d = 0; d < 3 * j; ++d)
+            out.back().next();
+    }
+    return out;
+}
+
+/** Bitwise equality, so -0.0 vs 0.0 or a NaN payload would fail. */
+void
+expectSameBits(const std::vector<double> &got,
+               const std::vector<double> &want, const char *what)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                  std::bit_cast<std::uint64_t>(want[i]))
+            << what << " slot " << i;
+}
+
+TEST(RngLanes, BestIsaIsSupportedAndNamed)
+{
+    EXPECT_TRUE(vsync::rngIsaSupported(vsync::rngIsaBest()));
+    EXPECT_TRUE(vsync::rngIsaSupported(vsync::RngIsa::Scalar));
+    EXPECT_STREQ(vsync::rngIsaName(vsync::RngIsa::Scalar), "scalar");
+    EXPECT_STREQ(vsync::rngIsaName(vsync::RngIsa::Avx2), "avx2");
+    EXPECT_STREQ(vsync::rngIsaName(vsync::RngIsa::Avx512), "avx512");
+}
+
+TEST(RngLanes, EveryIsaMatchesScalarFillUniform)
+{
+    constexpr double lo = -0.75, hi = 2.5;
+    for (const vsync::RngIsa isa : vsync::testutil::supportedRngIsas()) {
+        SCOPED_TRACE(vsync::rngIsaName(isa));
+        for (std::size_t lanes = 1; lanes <= 17; ++lanes) {
+            for (const std::size_t count : {0, 1, 63, 64, 65}) {
+                // Odd strides: the tightest one and a padded one.
+                for (const std::size_t stride :
+                     {lanes | 1, (lanes | 1) + 4}) {
+                    std::vector<Rng> got = staggeredLanes(lanes, count);
+                    std::vector<Rng> want = got;
+                    std::vector<double> out(count * stride + 1, -7.0);
+                    std::vector<double> ref = out;
+                    Rng::fillUniformLanes(got, lo, hi, out.data(), count,
+                                          stride, isa);
+                    for (std::size_t j = 0; j < lanes; ++j)
+                        want[j].fillUniform(lo, hi, ref.data() + j, count,
+                                            stride);
+                    SCOPED_TRACE(::testing::Message()
+                                 << lanes << " lanes, count " << count
+                                 << ", stride " << stride);
+                    // Padding slots stay untouched, too.
+                    expectSameBits(out, ref, "fill");
+                    for (std::size_t j = 0; j < lanes; ++j) {
+                        EXPECT_EQ(got[j].draws(), want[j].draws()) << j;
+                        EXPECT_EQ(got[j].next(), want[j].next()) << j;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(RngLanes, EveryIsaMatchesScalarPropagation)
+{
+    // Random steps over a few rows, including in-place steps
+    // (to == from) and steps that read rows written by earlier steps.
+    constexpr double lo = 0.9, hi = 1.1;
+    constexpr std::size_t rowCount = 9;
+    Rng shape(0x57e9);
+    for (const vsync::RngIsa isa : vsync::testutil::supportedRngIsas()) {
+        SCOPED_TRACE(vsync::rngIsaName(isa));
+        for (std::size_t lanes = 1; lanes <= 17; ++lanes) {
+            for (const std::size_t count : {0, 1, 63, 64, 65}) {
+                std::vector<std::int32_t> from(count), to(count);
+                std::vector<double> scale(count);
+                for (std::size_t k = 0; k < count; ++k) {
+                    from[k] = static_cast<std::int32_t>(
+                        shape.uniformInt(rowCount));
+                    to[k] = k % 5 == 0 ? from[k]
+                                       : static_cast<std::int32_t>(
+                                             shape.uniformInt(rowCount));
+                    scale[k] = shape.uniform(0.0, 3.0);
+                }
+                const vsync::LaneSteps steps{from.data(), to.data(),
+                                             scale.data(), count};
+                const std::size_t stride = lanes | 1;
+                std::vector<double> rows(rowCount * stride);
+                for (double &x : rows)
+                    x = shape.uniform(-1.0, 1.0);
+                std::vector<double> ref = rows;
+                std::vector<Rng> got = staggeredLanes(lanes, 40 + count);
+                std::vector<Rng> want = got;
+
+                Rng::propagateUniformLanes(got, lo, hi, steps, rows.data(),
+                                           stride, isa);
+                for (std::size_t j = 0; j < lanes; ++j) {
+                    for (std::size_t k = 0; k < count; ++k) {
+                        const double parent = ref[from[k] * stride + j];
+                        ref[to[k] * stride + j] =
+                            parent + want[j].uniform(lo, hi) * scale[k];
+                    }
+                }
+                SCOPED_TRACE(::testing::Message()
+                             << lanes << " lanes, count " << count);
+                expectSameBits(rows, ref, "propagate");
+                for (std::size_t j = 0; j < lanes; ++j)
+                    EXPECT_EQ(got[j].draws(), want[j].draws()) << j;
+            }
+        }
     }
 }
 

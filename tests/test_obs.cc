@@ -19,9 +19,11 @@
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "desim/clock_net.hh"
+#include "fault/fault_plan.hh"
 #include "fault/injector.hh"
 #include "fault/trix_grid.hh"
 #include "hybrid/network.hh"
+#include "hybrid/partition.hh"
 #include "layout/generators.hh"
 #include "mc/montecarlo.hh"
 #include "mc/resilience.hh"
@@ -645,6 +647,55 @@ TEST(McMetrics, ResilienceSweepCountsFaultsByKind)
     EXPECT_DOUBLE_EQ(static_cast<double>(by_kind),
                      point.meanFaults * static_cast<double>(cfg.trials));
     EXPECT_GT(by_kind, 0u);
+}
+
+TEST(McMetrics, HybridSurvivalSweepCountsPlanAndJitterDraws)
+{
+    const layout::Layout l = layout::meshLayout(8, 8);
+    hybrid::HybridParams params;
+    params.jitterAmplitude = 0.1;
+    const hybrid::HybridNetwork net(hybrid::partitionGrid(l, 4.0), params);
+    constexpr int rounds = 6;
+    constexpr double rate = 0.05;
+    obs::MetricsRegistry reg;
+    mc::McConfig cfg;
+    cfg.trials = 12;
+    cfg.threads = 2;
+    cfg.metrics = &reg;
+    cfg.metricsName = "hybrid";
+    (void)mc::hybridSurvivalSweep(net, rate, rounds, cfg);
+
+    // Replay every trial: its plan's substream draws plus its jitter
+    // stream (one draw per element per round, whatever the cut set).
+    fault::FaultUniverse universe;
+    universe.handshakeWires =
+        2 * net.partition().elementGraph.undirectedEdges().size();
+    fault::FaultRates rates;
+    rates.severedHandshakeWire = rate;
+    std::uint64_t want_draws = 0;
+    std::uint64_t plan_draws = 0;
+    for (std::uint64_t i = 0; i < cfg.trials; ++i) {
+        const Rng rng = Rng::forTrial(cfg.seed, i);
+        Rng plan_rng = rng.deriveStream(mc::planSalt);
+        Rng jitter_rng = rng.deriveStream(mc::delaySalt);
+        const std::uint64_t d =
+            fault::FaultPlan::generate(universe, rates, plan_rng).draws();
+        (void)net.simulate(rounds, &jitter_rng);
+        plan_draws += d;
+        want_draws += d + jitter_rng.draws();
+    }
+    EXPECT_GT(plan_draws, 0u);
+    EXPECT_GT(want_draws, plan_draws);
+    EXPECT_EQ(reg.counter("mc.hybrid.trials").value(), cfg.trials);
+    EXPECT_EQ(reg.counter("mc.hybrid.rng_draws").value(), want_draws);
+
+    obs::MetricsRegistry serial_reg;
+    mc::McConfig serial = cfg;
+    serial.threads = 1;
+    serial.metrics = &serial_reg;
+    (void)mc::hybridSurvivalSweep(net, rate, rounds, serial);
+    EXPECT_EQ(serial_reg.counter("mc.hybrid.rng_draws").value(),
+              want_draws);
 }
 
 TEST(McMetrics, InjectorCountsArmedFaultsByKind)

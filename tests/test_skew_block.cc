@@ -7,10 +7,12 @@
  * sequence draw-for-draw (same Rng::draws() accounting) and produce
  * bitwise-identical results. These tests pin that contract across
  * widths {1, 2, 3, 4, 7, 8, 16} -- odd, even, power-of-two (the
- * stride-padding case) and wider than the autotune range -- on the
+ * stride-padding case) and wider than one 8-lane group -- on the
  * htree, spine and TRIX-grid scenarios, through remainder blocks
  * (trials % W != 0) and through the blocked SweepService at 1/2/8
- * threads.
+ * threads. The range entry point's compact scratch is checked on
+ * every ISA the host can run, on DFS-ordered H-trees, spines and
+ * random (not DFS-ordered) trees.
  */
 
 #include <vector>
@@ -24,6 +26,7 @@
 #include "mc/resilience.hh"
 #include "mc/sweeps.hh"
 #include "serve/sweep_service.hh"
+#include "test_util.hh"
 
 namespace
 {
@@ -93,7 +96,7 @@ TEST(SkewBlock, ArrivalsBitIdenticalToScalarAtEveryWidth)
     }
 }
 
-TEST(SkewBlock, SampleMaxCommSkewBlockMatchesScalarAtEveryWidth)
+TEST(SkewBlock, ArrivalsThenFoldMatchScalarAtEveryWidth)
 {
     for (const auto &[l, tree] : treeScenarios()) {
         const SkewKernel kernel(l, tree);
@@ -103,9 +106,9 @@ TEST(SkewBlock, SampleMaxCommSkewBlockMatchesScalarAtEveryWidth)
             for (std::size_t j = 0; j < w; ++j)
                 lanes.push_back(Rng::forTrial(0x5eed, 100 + j));
             std::vector<Time> skew(w, -1.0);
-            kernel.sampleMaxCommSkewBlock(kDelay, {lanes.data(), w},
-                                          std::span<Time>(skew),
-                                          scratch);
+            scratch.resize(kernel.nodeCount() * SkewKernel::laneStride(w));
+            kernel.arrivalsBlock(kDelay, {lanes.data(), w}, scratch);
+            kernel.maxCommSkewBlock(scratch, skew);
             for (std::size_t j = 0; j < w; ++j) {
                 Rng scalar_rng = Rng::forTrial(0x5eed, 100 + j);
                 const Time ref = kernel.sampleMaxCommSkew(
@@ -156,21 +159,69 @@ TEST(SkewBlock, ArrivalSkewBlockMatchesScalarOnTrixSurfaces)
     }
 }
 
-TEST(SkewBlock, BlockWidthIsStableAndInAutotuneRange)
+TEST(SkewBlock, BlockWidthIsFixedAtEight)
 {
+    static_assert(SkewKernel::blockWidth() == 8);
     const layout::Layout l = layout::meshLayout(8, 8);
     const auto tree = clocktree::buildHTreeGrid(l, 8, 8);
-    const SkewKernel kernel(l, tree);
-    const std::size_t w = kernel.blockWidth();
-    EXPECT_GE(w, 1u);
-    EXPECT_LE(w, 8u);
-    // One-shot: later calls reuse the cached choice.
-    EXPECT_EQ(kernel.blockWidth(), w);
+    EXPECT_EQ(SkewKernel(l, tree).blockWidth(), 8u);
+    EXPECT_EQ(SkewKernel(l).blockWidth(), 8u);
+}
 
-    const SkewKernel pairsOnly(l);
-    const std::size_t wp = pairsOnly.blockWidth();
-    EXPECT_GE(wp, 1u);
-    EXPECT_LE(wp, 8u);
+TEST(SkewBlock, SlotMapNeedsCellsPlusOneRowsOnHTrees)
+{
+    // The H-tree builders number nodes in DFS pre-order: only the
+    // pinned cell taps plus one open path are ever live.
+    for (const int side : {8, 16, 32, 64}) {
+        const layout::Layout l = layout::meshLayout(side, side);
+        const SkewKernel kernel(l, clocktree::buildHTreeGrid(l, side, side));
+        EXPECT_EQ(kernel.nodeCount(), 3 * l.size() - 1) << side;
+        EXPECT_EQ(kernel.compactRows(), l.size() + 1) << side;
+    }
+    EXPECT_EQ(SkewKernel(layout::meshLayout(4, 4)).compactRows(), 0u);
+}
+
+/** sampleMaxCommSkewRange on @p isa against the scalar sampler, trial
+ *  by trial, including the returned draw count. */
+void
+expectRangeMatchesScalar(const SkewKernel &kernel, RngIsa isa,
+                         std::uint64_t seed, std::uint64_t first,
+                         std::size_t n)
+{
+    std::vector<Time> out(n, -1.0), scratch, scalar_scratch;
+    const std::uint64_t draws = kernel.sampleMaxCommSkewRange(
+        kDelay, seed, first, out, scratch, isa);
+    std::uint64_t want_draws = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+        Rng rng = Rng::forTrial(seed, first + k);
+        ASSERT_EQ(out[k],
+                  kernel.sampleMaxCommSkew(kDelay, rng, scalar_scratch))
+            << rngIsaName(isa) << " trial " << first + k;
+        want_draws += rng.draws();
+    }
+    EXPECT_EQ(draws, want_draws) << rngIsaName(isa);
+}
+
+TEST(SkewBlock, RangeMatchesScalarOnEveryIsaAndTreeShape)
+{
+    const auto isas = testutil::supportedRngIsas();
+    // Random trees: ids topological but not DFS pre-order, so the slot
+    // map recycles rows out of pre-order.
+    const layout::Layout pair = layout::linearLayout(2);
+    for (std::uint64_t shape = 0; shape < 12; ++shape) {
+        Rng rng = Rng::forTrial(0x7ee5, shape);
+        const std::size_t n = 2 + rng.uniformInt(shape < 6 ? 60 : 600);
+        const SkewKernel kernel(pair, testutil::randomTree(n, rng));
+        EXPECT_LE(kernel.compactRows(), n) << "shape " << shape;
+        for (const RngIsa isa : isas)
+            expectRangeMatchesScalar(kernel, isa, 0x5a + shape, 3, 19);
+    }
+    // A spine pins every node but the root; an H-tree is the DFS case.
+    for (const auto &[l, tree] : treeScenarios()) {
+        const SkewKernel kernel(l, tree);
+        for (const RngIsa isa : isas)
+            expectRangeMatchesScalar(kernel, isa, 0x5b, 11, 21);
+    }
 }
 
 TEST(SkewBlock, SkewSweepHandlesRemainderTrials)

@@ -24,6 +24,7 @@
 #include "layout/generators.hh"
 #include "mc/sweeps.hh"
 #include "obs/metrics.hh"
+#include "test_util.hh"
 
 namespace
 {
@@ -31,33 +32,7 @@ namespace
 using namespace vsync;
 using core::SkewKernel;
 using core::WireDelay;
-
-/** A random binary tree: node v's parent is drawn uniformly from the
- *  nodes that still have a free child slot, so shapes range from paths
- *  to balanced trees. Cells 0 and 1 are bound to the root and the last
- *  node to satisfy A4. */
-clocktree::ClockTree
-randomTree(std::size_t n, Rng &rng)
-{
-    clocktree::ClockTree t;
-    t.addRoot({0.0, 0.0});
-    std::vector<NodeId> open{0}; // nodes with < 2 children
-    std::vector<int> kids(n, 0);
-    for (std::size_t v = 1; v < n; ++v) {
-        const std::size_t pick = rng.uniformInt(open.size());
-        const NodeId p = open[pick];
-        t.addChild(p, {rng.uniform(-10.0, 10.0),
-                       rng.uniform(-10.0, 10.0)});
-        if (++kids[p] == 2) {
-            open[pick] = open.back();
-            open.pop_back();
-        }
-        open.push_back(static_cast<NodeId>(v));
-    }
-    t.bindCell(0, 0);
-    t.bindCell(static_cast<NodeId>(n - 1), 1);
-    return t;
-}
+using testutil::randomTree;
 
 TEST(SkewKernelNca, MatchesNaiveParentClimbOnRandomizedTrees)
 {

@@ -17,6 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "clocktree/clock_tree.hh"
+#include "common/rng.hh"
+
 namespace vsync::testutil
 {
 
@@ -94,6 +97,47 @@ expectMatchesGolden(const std::string &path, const std::string &got,
     want << in.rdbuf();
     EXPECT_EQ(got, want.str())
         << "sample bits diverged from the golden digests in " << path;
+}
+
+/** A random binary tree: node v's parent is drawn uniformly from the
+ *  nodes that still have a free child slot, so shapes range from paths
+ *  to balanced trees and ids are topological but not DFS pre-order.
+ *  Cells 0 and 1 are bound to the root and the last node to satisfy
+ *  A4 (pair it with layout::linearLayout(2)). */
+inline clocktree::ClockTree
+randomTree(std::size_t n, Rng &rng)
+{
+    clocktree::ClockTree t;
+    t.addRoot({0.0, 0.0});
+    std::vector<NodeId> open{0}; // nodes with < 2 children
+    std::vector<int> kids(n, 0);
+    for (std::size_t v = 1; v < n; ++v) {
+        const std::size_t pick = rng.uniformInt(open.size());
+        const NodeId p = open[pick];
+        t.addChild(p, {rng.uniform(-10.0, 10.0),
+                       rng.uniform(-10.0, 10.0)});
+        if (++kids[p] == 2) {
+            open[pick] = open.back();
+            open.pop_back();
+        }
+        open.push_back(static_cast<NodeId>(v));
+    }
+    t.bindCell(0, 0);
+    t.bindCell(static_cast<NodeId>(n - 1), 1);
+    return t;
+}
+
+/** Every lane-kernel ISA this host can run, Scalar first. */
+inline std::vector<RngIsa>
+supportedRngIsas()
+{
+    std::vector<RngIsa> out;
+    for (const RngIsa isa :
+         {RngIsa::Scalar, RngIsa::Avx2, RngIsa::Avx512}) {
+        if (rngIsaSupported(isa))
+            out.push_back(isa);
+    }
+    return out;
 }
 
 } // namespace vsync::testutil
