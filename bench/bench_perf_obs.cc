@@ -5,8 +5,8 @@
  *
  * The claim under test: instrumented engines pay one predictable branch
  * per notification site when no probe is attached, so compiling the
- * hooks in costs <= 5% even on the hottest workload we have (the
- * pipelined spine clock net of bench_perf_desim). Three configurations
+ * hooks in costs <= 5% even on the hottest workload we have (a
+ * pipelined 512-cell spine clock net). Three configurations
  * are timed on identical work, interleaved rep by rep so drift hits
  * them equally:
  *
@@ -182,7 +182,7 @@ main(int argc, char **argv)
     JsonWriter &json = result.writer();
     json.keyValue("overhead_budget", budget);
 
-    // --- desim: pipelined spine, bench_perf_desim's hottest shape. ---
+    // --- desim: pipelined spine, the hottest desim shape. ---
     const int n = 512;
     const int reps = 15;
     const layout::Layout l = layout::linearLayout(n);

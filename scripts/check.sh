@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Tier-1 verify, a flakiness pass over the socket tests, and sanitizer
-# passes over the concurrent subsystems: ThreadSanitizer,
-# AddressSanitizer and UndefinedBehaviorSanitizer over the lane-kernel
-# RNG, the parallel Monte-Carlo engine, the serving layer and the
-# network front end. Run
-# from the repo root:
+# Tier-1 verify, two flakiness passes, and sanitizer passes over the
+# concurrent subsystems. The flakiness passes rerun the socket tests
+# alone 20 times, then the whole suite 3 times at twice the core count,
+# so races that show only under load fail here too. ThreadSanitizer,
+# AddressSanitizer and UndefinedBehaviorSanitizer then cover the
+# lane-kernel RNG, the parallel Monte-Carlo engine, the serving layer
+# and the network front end. Run from the repo root:
 #
-#   scripts/check.sh          # full tier-1 + repeat + TSan + ASan + UBSan
+#   scripts/check.sh          # tier-1 + both repeats + TSan + ASan + UBSan
 #   scripts/check.sh --fast   # tier-1 only
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,6 +31,10 @@ fi
 echo "== repeat: socket tests 20x, stop at the first failure =="
 (cd build && ctest --output-on-failure --repeat until-fail:20 \
     -R '^test_(net|dist)$' -j"$JOBS")
+
+echo "== repeat: full suite 3x at -j $((2 * JOBS)), stop at the first failure =="
+(cd build && ctest --output-on-failure --repeat until-fail:3 \
+    -j"$((2 * JOBS))")
 
 echo "== TSan: lane RNG + parallel MC engine + skew kernel + fault sweeps + observability + serving + net + dist =="
 cmake -B build-tsan -S . -DVSYNC_SANITIZE=thread >/dev/null

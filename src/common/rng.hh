@@ -13,7 +13,6 @@
 #define VSYNC_COMMON_RNG_HH
 
 #include <array>
-#include <cmath>
 #include <cstdint>
 #include <span>
 
@@ -26,7 +25,7 @@ namespace detail
 {
 
 /** Left-rotate, xoshiro's building block (shared by the scalar step in
- *  rng.cc and the inlined bulk fills below). */
+ *  rng.cc and the inlined fillUniform below). */
 inline constexpr std::uint64_t
 rotl64(std::uint64_t x, int k)
 {
@@ -37,10 +36,10 @@ rotl64(std::uint64_t x, int k)
 
 /**
  * Instruction sets the lane-interleaved xoshiro kernel
- * (Rng::fillUniformLanes, Rng::propagateUniformLanes) can run on. Every
- * ISA produces the same bytes: the generator is integer add/xor/shift/
- * rotate, the u64 -> double conversion is exact, and multiply and add
- * stay separate (never fused).
+ * (Rng::propagateUniformLanes) can run on. Every ISA produces the same
+ * bytes: the generator is integer add/xor/shift/rotate, the u64 ->
+ * double conversion is exact, and multiply and add stay separate
+ * (never fused).
  */
 enum class RngIsa : std::uint8_t
 {
@@ -130,49 +129,31 @@ class Rng
     double uniform(double lo, double hi);
 
     /**
-     * Fill @p out with out.size() consecutive uniform(lo, hi) draws.
+     * Write count consecutive uniform(lo, hi) draws to out[0],
+     * out[stride], ..., out[(count - 1) * stride]. @pre stride >= 1.
      *
      * Produces the exact draw sequence (and draws() accounting) of
      * calling uniform(lo, hi) once per slot, but with the xoshiro
      * state hoisted into registers for the whole span -- the scalar
      * path pays two non-inlined calls and a counter increment per
-     * draw, which dominates tight sampling loops. One lane of the
-     * scalar fillUniformLanes() is exactly this call, and it is the
-     * oracle every SIMD lane fill is tested against.
-     */
-    void fillUniform(double lo, double hi, std::span<double> out);
-
-    /**
-     * Strided variant: writes count draws to out[0], out[stride],
-     * ..., out[(count - 1) * stride]. @pre stride >= 1. Used to fill
-     * one lane's column of a lane-major draw matrix; the draw
-     * sequence is identical to the contiguous form.
+     * draw, which dominates tight sampling loops. Each lane of the
+     * scalar propagateUniformLanes() pass draws through this call, and
+     * it is the oracle every SIMD lane kernel is tested against.
      */
     void fillUniform(double lo, double hi, double *out,
                      std::size_t count, std::size_t stride);
 
     /**
-     * Lane-interleaved fill: out[k * stride + j] receives lane j's k-th
-     * uniform(lo, hi) draw for k < count and j < lanes.size(). The
-     * lanes advance in lockstep, eight at a time in one vector per
-     * state word on the SIMD ISAs, and the slots and draws() counts
-     * are bitwise those of lanes[j].fillUniform(lo, hi, out + j, count,
-     * stride) on every ISA. Slots k * stride + j for j >= lanes.size()
-     * are untouched. @pre stride >= lanes.size(); @p isa supported.
-     */
-    static void fillUniformLanes(std::span<Rng> lanes, double lo,
-                                 double hi, double *out, std::size_t count,
-                                 std::size_t stride,
-                                 RngIsa isa = rngIsaBest());
-
-    /**
-     * fillUniformLanes() fused with a tree propagation: for each step
-     * k of @p steps, in order, rows[to[k] * stride + j] =
+     * Lane-interleaved draws fused with a tree propagation: for each
+     * step k of @p steps, in order, rows[to[k] * stride + j] =
      * rows[from[k] * stride + j] + u * scale[k], with u lane j's next
      * uniform(lo, hi) draw -- the arrival recurrence
      * arrival(v) = arrival(parent) + draw * wireLength(v), one draw
-     * per step per lane, so the draw matrix is never stored. Bitwise
-     * the per-lane scalar recurrence on every ISA.
+     * per step per lane, so the draw matrix is never stored. The
+     * lanes advance in lockstep, eight at a time in one vector per
+     * state word on the SIMD ISAs. Slots and draws() counts are
+     * bitwise the per-lane scalar recurrence on every ISA; slots of
+     * columns j >= lanes.size() are untouched.
      * @pre stride >= lanes.size(); @p isa supported.
      */
     static void propagateUniformLanes(std::span<Rng> lanes, double lo,
@@ -188,19 +169,6 @@ class Rng
 
     /** Normal variate with the given mean and standard deviation. */
     double normal(double mean, double stddev);
-
-    /**
-     * Fill @p out with out.size() consecutive normal() draws:
-     * bit-identical to calling normal() per slot, including the
-     * Box-Muller cached-pair interaction -- a pair cached by an
-     * earlier scalar normal() is consumed first, and a trailing
-     * unpaired variate is cached for the next call, scalar or bulk.
-     */
-    void fillNormal(std::span<double> out);
-
-    /** As fillNormal(out) with each draw mapped through
-     *  mean + stddev * z, matching normal(mean, stddev) bitwise. */
-    void fillNormal(double mean, double stddev, std::span<double> out);
 
     /** Bernoulli trial: true with probability p. */
     bool bernoulli(double p);
@@ -228,14 +196,6 @@ class Rng
     static Rng forTrial(std::uint64_t seed, std::uint64_t trial);
 
   private:
-    /** The one body of fillUniformLanes (steps == nullptr) and
-     *  propagateUniformLanes: per 8-lane group, gather, run the ISA's
-     *  pass, scatter back. */
-    static void runLanes(std::span<Rng> lanes, double lo, double hi,
-                         const LaneSteps *steps, double *rows,
-                         std::size_t count, std::size_t stride,
-                         RngIsa isa);
-
     std::array<std::uint64_t, 4> s;
     double cachedNormal;
     bool hasCachedNormal;
@@ -269,51 +229,6 @@ Rng::fillUniform(double lo, double hi, double *out, std::size_t count,
     }
     s = {s0, s1, s2, s3};
     drawCount += count;
-}
-
-inline void
-Rng::fillUniform(double lo, double hi, std::span<double> out)
-{
-    fillUniform(lo, hi, out.data(), out.size(), 1);
-}
-
-inline void
-Rng::fillNormal(std::span<double> out)
-{
-    std::size_t i = 0;
-    const std::size_t n = out.size();
-    if (hasCachedNormal && i < n) {
-        hasCachedNormal = false;
-        out[i++] = cachedNormal;
-    }
-    while (i < n) {
-        // One Box-Muller round, spelled exactly as normal(): cos first,
-        // sin second; an unpaired sin is cached, never dropped.
-        double u1;
-        do {
-            u1 = uniform();
-        } while (u1 <= 1e-300);
-        const double u2 = uniform();
-        const double r = std::sqrt(-2.0 * std::log(u1));
-        const double theta = 2.0 * M_PI * u2;
-        const double first = r * std::cos(theta);
-        const double second = r * std::sin(theta);
-        out[i++] = first;
-        if (i < n) {
-            out[i++] = second;
-        } else {
-            cachedNormal = second;
-            hasCachedNormal = true;
-        }
-    }
-}
-
-inline void
-Rng::fillNormal(double mean, double stddev, std::span<double> out)
-{
-    fillNormal(out);
-    for (double &z : out)
-        z = mean + stddev * z;
 }
 
 } // namespace vsync

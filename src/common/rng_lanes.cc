@@ -1,7 +1,7 @@
 /**
  * @file
- * The lane-interleaved xoshiro256++ kernel behind Rng::fillUniformLanes
- * and Rng::propagateUniformLanes.
+ * The lane-interleaved xoshiro256++ kernel behind
+ * Rng::propagateUniformLanes.
  *
  * Lanes run in groups of eight. A group's generator states are gathered
  * into an interleaved block (word w of lane j at word[w][j]), so each
@@ -57,44 +57,35 @@ struct alignas(64) LaneState
 };
 
 /** One pass over a lane group's columns (rows already offset to the
- *  group's first lane). steps == nullptr is a plain fill: draw k goes
- *  to row k. */
+ *  group's first lane). */
 struct Pass
 {
     double lo;
     double hi;
-    const LaneSteps *steps;
+    const LaneSteps &steps;
     double *rows;
-    std::size_t count;
     std::size_t stride;
 };
 
-/** The scalar pass: each lane's own fillUniform. A plain fill writes
- *  the lane's column directly; a fused pass bulk-fills each lane's
- *  column of a 64-step draw chunk, then propagates the chunk row by
- *  row. */
+/** The scalar pass: each lane's own fillUniform bulk-fills its column
+ *  of a 64-step draw chunk, then the chunk propagates row by row. */
 void
 passScalar(Rng *lanes, std::size_t m, const Pass &p)
 {
-    if (!p.steps) {
-        for (std::size_t j = 0; j < m; ++j)
-            lanes[j].fillUniform(p.lo, p.hi, p.rows + j, p.count, p.stride);
-        return;
-    }
     constexpr std::size_t chunk = 64;
     alignas(64) double draw[chunk * groupLanes];
-    for (std::size_t k0 = 0; k0 < p.count; k0 += chunk) {
-        const std::size_t cnt = std::min(chunk, p.count - k0);
+    for (std::size_t k0 = 0; k0 < p.steps.count; k0 += chunk) {
+        const std::size_t cnt = std::min(chunk, p.steps.count - k0);
         for (std::size_t j = 0; j < m; ++j)
             lanes[j].fillUniform(p.lo, p.hi, draw + j, cnt, groupLanes);
         for (std::size_t k = 0; k < cnt; ++k) {
             const double *src =
                 p.rows +
-                static_cast<std::size_t>(p.steps->from[k0 + k]) * p.stride;
+                static_cast<std::size_t>(p.steps.from[k0 + k]) * p.stride;
             double *dst =
                 p.rows +
-                static_cast<std::size_t>(p.steps->to[k0 + k]) * p.stride;
-            const double wl = p.steps->scale[k0 + k];
+                static_cast<std::size_t>(p.steps.to[k0 + k]) * p.stride;
+            const double wl = p.steps.scale[k0 + k];
             const double *d = draw + k * groupLanes;
             for (std::size_t j = 0; j < m; ++j)
                 dst[j] = src[j] + d[j] * wl;
@@ -110,7 +101,6 @@ passScalar(Rng *lanes, std::size_t m, const Pass &p)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
-template <bool Fused>
 __attribute__((target("avx512f,avx512dq"))) void
 passAvx512(LaneState &st, std::size_t m, const Pass &p)
 {
@@ -122,7 +112,7 @@ passAvx512(LaneState &st, std::size_t m, const Pass &p)
     const __m512d lo = _mm512_set1_pd(p.lo);
     const __m512d scale = _mm512_set1_pd(p.hi - p.lo);
     const __m512d unit = _mm512_set1_pd(0x1.0p-53);
-    for (std::size_t k = 0; k < p.count; ++k) {
+    for (std::size_t k = 0; k < p.steps.count; ++k) {
         const __m512i r = _mm512_add_epi64(
             _mm512_rol_epi64(_mm512_add_epi64(s0, s3), 23), s0);
         const __m512i t = _mm512_slli_epi64(s1, 17);
@@ -135,20 +125,14 @@ passAvx512(LaneState &st, std::size_t m, const Pass &p)
         const __m512d u = _mm512_mul_pd(
             _mm512_cvtepu64_pd(_mm512_srli_epi64(r, 11)), unit);
         const __m512d d = _mm512_add_pd(lo, _mm512_mul_pd(scale, u));
-        if constexpr (Fused) {
-            const double *src =
-                p.rows +
-                static_cast<std::size_t>(p.steps->from[k]) * p.stride;
-            double *dst =
-                p.rows + static_cast<std::size_t>(p.steps->to[k]) * p.stride;
-            const __m512d wl = _mm512_set1_pd(p.steps->scale[k]);
-            const __m512d parent = _mm512_maskz_loadu_pd(mask, src);
-            _mm512_mask_storeu_pd(dst, mask,
-                                  _mm512_add_pd(parent,
-                                                _mm512_mul_pd(d, wl)));
-        } else {
-            _mm512_mask_storeu_pd(p.rows + k * p.stride, mask, d);
-        }
+        const double *src =
+            p.rows + static_cast<std::size_t>(p.steps.from[k]) * p.stride;
+        double *dst =
+            p.rows + static_cast<std::size_t>(p.steps.to[k]) * p.stride;
+        const __m512d wl = _mm512_set1_pd(p.steps.scale[k]);
+        const __m512d parent = _mm512_maskz_loadu_pd(mask, src);
+        _mm512_mask_storeu_pd(dst, mask,
+                              _mm512_add_pd(parent, _mm512_mul_pd(d, wl)));
     }
     _mm512_store_si512(st.word[0], s0);
     _mm512_store_si512(st.word[1], s1);
@@ -178,7 +162,6 @@ store256(std::uint64_t *p, __m256i v)
     _mm256_store_si256(reinterpret_cast<__m256i *>(p), v);
 }
 
-template <bool Fused>
 __attribute__((target("avx2"))) void
 passAvx2(LaneState &st, std::size_t m, const Pass &p)
 {
@@ -206,19 +189,12 @@ passAvx2(LaneState &st, std::size_t m, const Pass &p)
     const __m256i loExp = _mm256_set1_epi64x(0x3f30000000000000LL);
     const __m256d hiBias = _mm256_set1_pd(0x1.0p20);
     const __m256d loBias = _mm256_set1_pd(0x1.0p-12);
-    for (std::size_t k = 0; k < p.count; ++k) {
-        double *dst;
-        const double *src = nullptr;
-        __m256d wl = _mm256_setzero_pd();
-        if constexpr (Fused) {
-            src = p.rows +
-                  static_cast<std::size_t>(p.steps->from[k]) * p.stride;
-            dst = p.rows +
-                  static_cast<std::size_t>(p.steps->to[k]) * p.stride;
-            wl = _mm256_set1_pd(p.steps->scale[k]);
-        } else {
-            dst = p.rows + k * p.stride;
-        }
+    for (std::size_t k = 0; k < p.steps.count; ++k) {
+        const double *src =
+            p.rows + static_cast<std::size_t>(p.steps.from[k]) * p.stride;
+        double *dst =
+            p.rows + static_cast<std::size_t>(p.steps.to[k]) * p.stride;
+        const __m256d wl = _mm256_set1_pd(p.steps.scale[k]);
         for (int h = 0; h < 2; ++h) {
             const __m256i r = _mm256_add_epi64(
                 rotl256<23>(_mm256_add_epi64(s0[h], s3[h])), s0[h]);
@@ -238,13 +214,10 @@ passAvx2(LaneState &st, std::size_t m, const Pass &p)
                     _mm256_or_si256(_mm256_and_si256(r, loBits), loExp)),
                 loBias);
             const __m256d u = _mm256_add_pd(xHi, xLo);
-            __m256d d = _mm256_add_pd(lo, _mm256_mul_pd(scale, u));
-            if constexpr (Fused) {
-                const __m256d parent =
-                    _mm256_maskload_pd(src + 4 * h, mask[h]);
-                d = _mm256_add_pd(parent, _mm256_mul_pd(d, wl));
-            }
-            _mm256_maskstore_pd(dst + 4 * h, mask[h], d);
+            const __m256d d = _mm256_add_pd(lo, _mm256_mul_pd(scale, u));
+            const __m256d parent = _mm256_maskload_pd(src + 4 * h, mask[h]);
+            _mm256_maskstore_pd(dst + 4 * h, mask[h],
+                                _mm256_add_pd(parent, _mm256_mul_pd(d, wl)));
         }
     }
     for (int h = 0; h < 2; ++h) {
@@ -304,35 +277,20 @@ rngIsaBest()
 }
 
 void
-Rng::fillUniformLanes(std::span<Rng> lanes, double lo, double hi,
-                      double *out, std::size_t count, std::size_t stride,
-                      RngIsa isa)
-{
-    runLanes(lanes, lo, hi, nullptr, out, count, stride, isa);
-}
-
-void
 Rng::propagateUniformLanes(std::span<Rng> lanes, double lo, double hi,
                            const LaneSteps &steps, double *rows,
                            std::size_t stride, RngIsa isa)
-{
-    runLanes(lanes, lo, hi, &steps, rows, steps.count, stride, isa);
-}
-
-void
-Rng::runLanes(std::span<Rng> lanes, double lo, double hi,
-              const LaneSteps *steps, double *rows, std::size_t count,
-              std::size_t stride, RngIsa isa)
 {
     VSYNC_ASSERT(lo <= hi, "bad uniform range [%g, %g)", lo, hi);
     VSYNC_ASSERT(stride >= lanes.size(), "stride %zu for %zu lanes",
                  stride, lanes.size());
     VSYNC_ASSERT(rngIsaSupported(isa), "this host cannot run %s",
                  rngIsaName(isa));
+    // Per 8-lane group: gather, run the ISA's pass, scatter back.
     for (std::size_t g0 = 0; g0 < lanes.size(); g0 += groupLanes) {
         const std::size_t m = std::min(groupLanes, lanes.size() - g0);
         Rng *group = lanes.data() + g0;
-        const Pass pass{lo, hi, steps, rows + g0, count, stride};
+        const Pass pass{lo, hi, steps, rows + g0, stride};
         if (isa == RngIsa::Scalar) {
             passScalar(group, m, pass);
             continue;
@@ -344,17 +302,14 @@ Rng::runLanes(std::span<Rng> lanes, double lo, double hi,
             for (int w = 0; w < 4; ++w)
                 st.word[w][j] = src.s[w];
         }
-        if (isa == RngIsa::Avx512) {
-            steps ? passAvx512<true>(st, m, pass)
-                  : passAvx512<false>(st, m, pass);
-        } else {
-            steps ? passAvx2<true>(st, m, pass)
-                  : passAvx2<false>(st, m, pass);
-        }
+        if (isa == RngIsa::Avx512)
+            passAvx512(st, m, pass);
+        else
+            passAvx2(st, m, pass);
         for (std::size_t j = 0; j < m; ++j) {
             for (int w = 0; w < 4; ++w)
                 group[j].s[w] = st.word[w][j];
-            group[j].drawCount += count;
+            group[j].drawCount += steps.count;
         }
 #endif
     }

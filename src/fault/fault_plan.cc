@@ -112,9 +112,6 @@ FaultPlan::generate(const FaultUniverse &universe, const FaultRates &rates,
             Fault f;
             f.kind = kind;
             f.site = s;
-            f.onset = rates.onsetWindow > 0.0
-                          ? stream.uniform(0.0, rates.onsetWindow)
-                          : 0.0;
             switch (kind) {
               case FaultKind::DelayDrift:
                 f.magnitude = stream.uniform(rates.driftFactorLo,

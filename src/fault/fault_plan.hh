@@ -11,7 +11,8 @@
  * the same contract the Monte-Carlo engine guarantees for its samples
  * (DESIGN.md 4.1). Each fault kind draws from its own derived
  * substream, so raising one kind's rate never moves another kind's
- * sites or onsets.
+ * sites. Generated faults strike at t = 0; a later onset comes only
+ * from a hand-built plan (FaultInjector schedules it in desim).
  */
 
 #ifndef VSYNC_FAULT_FAULT_PLAN_HH
@@ -103,8 +104,6 @@ struct FaultRates
     double driftFactorHi = 3.0;
     /** Transient-glitch pulse width (ns). */
     Time glitchWidth = 0.05;
-    /** Onsets drawn uniformly from [0, onsetWindow]; 0 = at t = 0. */
-    Time onsetWindow = 0.0;
 
     /** Every kind at probability @p rate (magnitudes at defaults). */
     static FaultRates uniform(double rate);
@@ -125,8 +124,9 @@ class FaultPlan
     FaultPlan() = default;
 
     /**
-     * Draw a plan for @p universe under @p rates from @p rng. Each
-     * fault kind consumes its own rng.deriveStream(kind) substream.
+     * Draw a plan for @p universe under @p rates from @p rng, every
+     * fault at onset 0. Each fault kind consumes its own
+     * rng.deriveStream(kind) substream.
      */
     static FaultPlan generate(const FaultUniverse &universe,
                               const FaultRates &rates, Rng &rng);

@@ -31,32 +31,6 @@ distributionKindName(DistributionKind kind)
 namespace
 {
 
-/** The per-chip tree stage-delay model of the desim fallback. Captures
- *  by reference; consume immediately. treeArrivals draws the same. */
-desim::ClockNet::DelayFn
-treeDelayFn(const ResilienceConfig &rc, Rng &delay_rng)
-{
-    return [&rc, &delay_rng](const clocktree::BufferedSite &site,
-                             std::size_t) {
-        const double unit =
-            delay_rng.uniform(rc.delay.lo(), rc.delay.hi());
-        const Time stage = site.wireFromParent * unit +
-                           (site.isBuffer ? rc.bufferDelay : 0.0);
-        return desim::EdgeDelays::same(stage);
-    };
-}
-
-/** Per-link grid delays from the same model: one buffered unit-pitch
- *  link per stage -- buffer delay plus one lambda of varied wire. */
-fault::TrixGrid::LinkDelayFn
-gridDelayFn(const ResilienceConfig &rc, Rng &delay_rng)
-{
-    return [&rc, &delay_rng](int, int, int) {
-        return rc.bufferDelay +
-               delay_rng.uniform(rc.delay.lo(), rc.delay.hi());
-    };
-}
-
 /** Per-stage and per-net fault state bits of the compiled pass. */
 enum : std::uint8_t
 {
@@ -101,26 +75,30 @@ struct PassScratch
 thread_local PassScratch passScratch;
 
 /**
- * True when the compiled pass reproduces desim for @p plan: every
+ * Abort unless the compiled pass reproduces desim for @p plan: every
  * fault applies at t = 0, and no dead or drifting stage is armed
  * after a stuck-at-high net (whose t = 0 rise would already be in
  * flight through it -- possible only in hand-built plans, since
  * generated plans list kinds in FaultKind order).
  */
-bool
-compilable(const fault::FaultPlan &plan)
+void
+requireCompilable(const fault::FaultPlan &plan)
 {
     bool risen = false;
     for (const fault::Fault &f : plan.faults()) {
-        if (f.onset != 0.0)
-            return false;
+        VSYNC_ASSERT(f.onset == 0.0,
+                     "fault onset %g: the compiled pass needs onset 0",
+                     f.onset);
         if (f.kind == fault::FaultKind::StuckAtNet && f.stuckHigh)
             risen = true;
-        else if (risen && (f.kind == fault::FaultKind::DeadBuffer ||
-                           f.kind == fault::FaultKind::DelayDrift))
-            return false;
+        else
+            VSYNC_ASSERT(!risen ||
+                             (f.kind != fault::FaultKind::DeadBuffer &&
+                              f.kind != fault::FaultKind::DelayDrift),
+                         "stage fault at site %zu armed after a "
+                         "stuck-high net",
+                         f.site);
     }
-    return true;
 }
 
 /**
@@ -200,7 +178,7 @@ treeArrivals(const ResilienceScenario &s, const fault::FaultPlan &plan,
     Time *a = ps.arrival.data();
     a[0] = netArrival(ps.netFlags[0], 0.0);
     for (std::size_t i = 1; i < n; ++i) {
-        // The stage expressions of treeDelayFn and DelayElement.
+        // The stage expression of the desim oracle's delay model.
         const Time stage = s.siteWire[i] * unit[i] +
                            (s.siteIsBuffer[i] ? s.rc.bufferDelay : 0.0);
         const Time driven = (ps.stageFlags[i] & deadStage)
@@ -259,24 +237,6 @@ gridArrivals(const ResilienceScenario &s, const fault::FaultPlan &plan,
     foldPlan(plan, s.universe, 0, ps, true);
 }
 
-/** The desim oracle for plans the compiled pass does not cover. */
-void
-desimArrivals(const ResilienceScenario &s, const fault::FaultPlan &plan,
-              Rng &delay_rng, Time *out, std::size_t stride)
-{
-    std::vector<Time> arrival;
-    if (s.kind == DistributionKind::TrixGrid)
-        fault::simulateGridArrivalsUnderFaults(
-            *s.kernel, s.rows, s.cols, gridDelayFn(s.rc, delay_rng), plan,
-            arrival);
-    else
-        fault::simulateTreeArrivalsUnderFaults(
-            *s.kernel, s.btree, treeDelayFn(s.rc, delay_rng), plan,
-            arrival);
-    for (std::size_t c = 0; c < arrival.size(); ++c)
-        out[c * stride] = arrival[c];
-}
-
 /** What one trial's arrival pass drew. */
 struct TrialDraw
 {
@@ -300,14 +260,12 @@ trialArrivals(const ResilienceScenario &s, std::uint64_t seed,
     Rng delay_rng = trial_rng.deriveStream(delaySalt);
     const fault::FaultPlan plan =
         fault::FaultPlan::generate(s.universe, s.rates, plan_rng);
-    const bool compiled = s.cellArrivals(plan, delay_rng, out, stride);
+    s.cellArrivals(plan, delay_rng, out, stride);
     if (counters) {
         for (const fault::Fault &f : plan.faults())
             if (obs::Counter *c =
                     counters->faultKinds[static_cast<std::size_t>(f.kind)])
                 c->inc();
-        if (!compiled && counters->desimFallbacks)
-            counters->desimFallbacks->inc();
     }
     return {plan.size(), plan.draws() + delay_rng.draws()};
 }
@@ -326,9 +284,8 @@ sweepScenario(const ResilienceScenario &scenario, double fault_rate,
     point.clockedFraction.samples.assign(cfg.trials, 0.0);
     std::vector<double> faults(cfg.trials, 0.0);
 
-    // Observability: per-kind injected-fault counters and the desim
-    // fallback counter, resolved before the fan-out (registration
-    // locks; Counter::inc is lock-free).
+    // Observability: per-kind injected-fault counters, resolved before
+    // the fan-out (registration locks; Counter::inc is lock-free).
     TrialCounters counters;
     if (cfg.metrics) {
         for (int k = 0; k < fault::faultKindCount; ++k)
@@ -336,8 +293,6 @@ sweepScenario(const ResilienceScenario &scenario, double fault_rate,
                 &cfg.metrics->counter(
                     "mc.resilience.faults." +
                     fault::faultKindName(static_cast<fault::FaultKind>(k)));
-        counters.desimFallbacks =
-            &cfg.metrics->counter("mc.resilience.desim_fallbacks");
     }
 
     const ChunkFn chunk = [&](std::size_t begin, std::size_t end) {
@@ -364,20 +319,16 @@ sweepScenario(const ResilienceScenario &scenario, double fault_rate,
 
 } // namespace
 
-bool
+void
 ResilienceScenario::cellArrivals(const fault::FaultPlan &plan,
                                  Rng &delay_rng, Time *out,
                                  std::size_t stride) const
 {
-    if (!compilable(plan)) {
-        desimArrivals(*this, plan, delay_rng, out, stride);
-        return false;
-    }
+    requireCompilable(plan);
     if (kind == DistributionKind::TrixGrid)
         gridArrivals(*this, plan, delay_rng, out, stride);
     else
         treeArrivals(*this, plan, delay_rng, out, stride);
-    return true;
 }
 
 fault::DistributionOutcome

@@ -17,7 +17,7 @@
  * First arrivals come from a compiled one-pass recurrence over the
  * distribution (ResilienceScenario documents the rules), bitwise equal
  * to the desim drivers fault::simulate{Tree,Grid}ArrivalsUnderFaults,
- * which stay the oracle and the fallback for plans with future onsets.
+ * which stay the oracle (tests/test_resilience_compiled.cc).
  *
  * All sweeps obey the Monte-Carlo determinism contract: results are
  * bit-identical for any cfg.threads.
@@ -102,8 +102,6 @@ struct TrialCounters
 {
     /** One inc() per planned fault, on the counter of its kind. */
     std::array<obs::Counter *, fault::faultKindCount> faultKinds{};
-    /** One inc() per trial whose plan fell back to desim. */
-    obs::Counter *desimFallbacks = nullptr;
 };
 
 /**
@@ -131,8 +129,10 @@ struct TrialCounters
  * alive/scale fold the dead-buffer and delay-drift faults of the stage
  * feeding a site; forced0 is a stuck-at-high net or a glitch on a net
  * that is not stuck low (either rises at t = 0). Desim is the oracle
- * (tests/test_resilience_compiled.cc); plans the rules do not cover --
- * any fault with a nonzero onset -- run the desim drivers instead.
+ * (tests/test_resilience_compiled.cc). Every plan FaultPlan::generate
+ * draws obeys these rules; a hand-built plan outside them (a nonzero
+ * onset, or a dead or drifting stage listed after a stuck-at-high net)
+ * aborts, and only the desim drivers can run it.
  */
 struct ResilienceScenario
 {
@@ -163,10 +163,11 @@ struct ResilienceScenario
      * fault::simulate{Tree,Grid}ArrivalsUnderFaults draw them through
      * the ClockNet / TrixGrid constructors: cell c's arrival (infinity
      * = never clocked) goes to out[c * stride]. Bitwise equal to those
-     * desim drivers; returns false when @p plan needed them (the desim
-     * fallback ran), true when the compiled pass did.
+     * desim drivers. @pre @p plan obeys the rules above (every onset
+     * 0, no dead or drifting stage after a stuck-at-high net); a plan
+     * that does not aborts.
      */
-    bool cellArrivals(const fault::FaultPlan &plan, Rng &delay_rng,
+    void cellArrivals(const fault::FaultPlan &plan, Rng &delay_rng,
                       Time *out, std::size_t stride = 1) const;
 
     /**
@@ -239,7 +240,7 @@ compileResilienceScenario(const layout::Layout &l, int rows, int cols,
  * the compile across sweeps); results do not depend on the provider.
  * With cfg.metrics set, the sweep records the runChunks counters
  * under "mc.<metricsName>." plus one "mc.resilience.faults.<kind>"
- * inc per planned fault and "mc.resilience.desim_fallbacks".
+ * inc per planned fault.
  */
 ResiliencePoint resilienceAtRate(
     const layout::Layout &l, int rows, int cols, DistributionKind kind,

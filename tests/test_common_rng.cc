@@ -8,7 +8,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/rng.hh"
@@ -157,7 +156,7 @@ TEST(RngFill, FillUniformReplaysScalarSequence)
 {
     Rng bulk(4242), scalar(4242);
     std::vector<double> got(257); // odd, not a power of two
-    bulk.fillUniform(-2.5, 7.75, std::span<double>(got));
+    bulk.fillUniform(-2.5, 7.75, got.data(), got.size(), 1);
     for (std::size_t i = 0; i < got.size(); ++i)
         ASSERT_EQ(got[i], scalar.uniform(-2.5, 7.75)) << "draw " << i;
     EXPECT_EQ(bulk.draws(), scalar.draws());
@@ -171,7 +170,7 @@ TEST(RngFill, StridedFillMatchesContiguousFill)
     constexpr std::size_t count = 64, stride = 5;
     std::vector<double> flat(count);
     std::vector<double> mat(count * stride, -1.0);
-    a.fillUniform(0.0, 1.0, std::span<double>(flat));
+    a.fillUniform(0.0, 1.0, flat.data(), count, 1);
     b.fillUniform(0.0, 1.0, mat.data(), count, stride);
     for (std::size_t i = 0; i < count; ++i)
         ASSERT_EQ(mat[i * stride], flat[i]) << i;
@@ -184,44 +183,6 @@ TEST(RngFill, StridedFillMatchesContiguousFill)
     EXPECT_EQ(a.draws(), b.draws());
 }
 
-TEST(RngFill, FillNormalReplaysScalarSequence)
-{
-    for (const std::size_t n : {std::size_t{1}, std::size_t{2},
-                                std::size_t{7}, std::size_t{64}}) {
-        Rng bulk(909), scalar(909);
-        std::vector<double> got(n);
-        bulk.fillNormal(std::span<double>(got));
-        for (std::size_t i = 0; i < n; ++i)
-            ASSERT_EQ(got[i], scalar.normal()) << "n " << n << " i " << i;
-        EXPECT_EQ(bulk.draws(), scalar.draws()) << n;
-    }
-}
-
-TEST(RngFill, FillNormalConsumesAndLeavesBoxMullerCache)
-{
-    // A scalar normal() caches the unpaired sin; the bulk fill must
-    // consume that cache first. An odd-length fill then leaves its own
-    // trailing sin cached for the next scalar call.
-    Rng bulk(31337), scalar(31337);
-    ASSERT_EQ(bulk.normal(), scalar.normal()); // both now hold a cache
-    std::vector<double> got(5);                // odd: ends mid-pair
-    bulk.fillNormal(std::span<double>(got));
-    for (double g : got)
-        ASSERT_EQ(g, scalar.normal());
-    // Crossing back to scalar: the bulk fill's cached sin comes out.
-    EXPECT_EQ(bulk.normal(), scalar.normal());
-    EXPECT_EQ(bulk.draws(), scalar.draws());
-}
-
-TEST(RngFill, FillNormalScaledMatchesScalar)
-{
-    Rng bulk(555), scalar(555);
-    std::vector<double> got(9);
-    bulk.fillNormal(3.0, 0.25, std::span<double>(got));
-    for (double g : got)
-        ASSERT_EQ(g, scalar.normal(3.0, 0.25));
-}
-
 TEST(RngFill, BulkFillPreservesDeriveStream)
 {
     // deriveStream is a pure function of the seed and salt, so a
@@ -229,7 +190,7 @@ TEST(RngFill, BulkFillPreservesDeriveStream)
     // equivalent scalar draws (and one derived with no draws at all).
     Rng bulk(99), scalar(99), fresh(99);
     std::vector<double> sink(33);
-    bulk.fillUniform(0.0, 1.0, std::span<double>(sink));
+    bulk.fillUniform(0.0, 1.0, sink.data(), sink.size(), 1);
     for (int i = 0; i < 33; ++i)
         scalar.uniform();
     Rng da = bulk.deriveStream(5);
@@ -279,46 +240,13 @@ TEST(RngLanes, BestIsaIsSupportedAndNamed)
     EXPECT_STREQ(vsync::rngIsaName(vsync::RngIsa::Avx512), "avx512");
 }
 
-TEST(RngLanes, EveryIsaMatchesScalarFillUniform)
-{
-    constexpr double lo = -0.75, hi = 2.5;
-    for (const vsync::RngIsa isa : vsync::testutil::supportedRngIsas()) {
-        SCOPED_TRACE(vsync::rngIsaName(isa));
-        for (std::size_t lanes = 1; lanes <= 17; ++lanes) {
-            for (const std::size_t count : {0, 1, 63, 64, 65}) {
-                // Odd strides: the tightest one and a padded one.
-                for (const std::size_t stride :
-                     {lanes | 1, (lanes | 1) + 4}) {
-                    std::vector<Rng> got = staggeredLanes(lanes, count);
-                    std::vector<Rng> want = got;
-                    std::vector<double> out(count * stride + 1, -7.0);
-                    std::vector<double> ref = out;
-                    Rng::fillUniformLanes(got, lo, hi, out.data(), count,
-                                          stride, isa);
-                    for (std::size_t j = 0; j < lanes; ++j)
-                        want[j].fillUniform(lo, hi, ref.data() + j, count,
-                                            stride);
-                    SCOPED_TRACE(::testing::Message()
-                                 << lanes << " lanes, count " << count
-                                 << ", stride " << stride);
-                    // Padding slots stay untouched, too.
-                    expectSameBits(out, ref, "fill");
-                    for (std::size_t j = 0; j < lanes; ++j) {
-                        EXPECT_EQ(got[j].draws(), want[j].draws()) << j;
-                        EXPECT_EQ(got[j].next(), want[j].next()) << j;
-                    }
-                }
-            }
-        }
-    }
-}
-
 TEST(RngLanes, EveryIsaMatchesScalarPropagation)
 {
     // Random steps over a few rows, including in-place steps
     // (to == from) and steps that read rows written by earlier steps.
     constexpr double lo = 0.9, hi = 1.1;
     constexpr std::size_t rowCount = 9;
+    constexpr double sentinel = -7.0;
     Rng shape(0x57e9);
     for (const vsync::RngIsa isa : vsync::testutil::supportedRngIsas()) {
         SCOPED_TRACE(vsync::rngIsaName(isa));
@@ -336,28 +264,39 @@ TEST(RngLanes, EveryIsaMatchesScalarPropagation)
                 }
                 const vsync::LaneSteps steps{from.data(), to.data(),
                                              scale.data(), count};
-                const std::size_t stride = lanes | 1;
-                std::vector<double> rows(rowCount * stride);
-                for (double &x : rows)
-                    x = shape.uniform(-1.0, 1.0);
-                std::vector<double> ref = rows;
-                std::vector<Rng> got = staggeredLanes(lanes, 40 + count);
-                std::vector<Rng> want = got;
+                // Odd strides: the tightest one and a padded one.
+                for (const std::size_t stride :
+                     {lanes | 1, (lanes | 1) + 4}) {
+                    // Lane columns start random; padding columns hold
+                    // a sentinel the kernel must leave untouched.
+                    std::vector<double> rows(rowCount * stride + 1,
+                                             sentinel);
+                    for (std::size_t r = 0; r < rowCount; ++r)
+                        for (std::size_t j = 0; j < lanes; ++j)
+                            rows[r * stride + j] = shape.uniform(-1.0, 1.0);
+                    std::vector<double> ref = rows;
+                    std::vector<Rng> got =
+                        staggeredLanes(lanes, 40 + count);
+                    std::vector<Rng> want = got;
 
-                Rng::propagateUniformLanes(got, lo, hi, steps, rows.data(),
-                                           stride, isa);
-                for (std::size_t j = 0; j < lanes; ++j) {
-                    for (std::size_t k = 0; k < count; ++k) {
-                        const double parent = ref[from[k] * stride + j];
-                        ref[to[k] * stride + j] =
-                            parent + want[j].uniform(lo, hi) * scale[k];
+                    Rng::propagateUniformLanes(got, lo, hi, steps,
+                                               rows.data(), stride, isa);
+                    for (std::size_t j = 0; j < lanes; ++j) {
+                        for (std::size_t k = 0; k < count; ++k) {
+                            const double parent = ref[from[k] * stride + j];
+                            ref[to[k] * stride + j] =
+                                parent + want[j].uniform(lo, hi) * scale[k];
+                        }
+                    }
+                    SCOPED_TRACE(::testing::Message()
+                                 << lanes << " lanes, count " << count
+                                 << ", stride " << stride);
+                    expectSameBits(rows, ref, "propagate");
+                    for (std::size_t j = 0; j < lanes; ++j) {
+                        EXPECT_EQ(got[j].draws(), want[j].draws()) << j;
+                        EXPECT_EQ(got[j].next(), want[j].next()) << j;
                     }
                 }
-                SCOPED_TRACE(::testing::Message()
-                             << lanes << " lanes, count " << count);
-                expectSameBits(rows, ref, "propagate");
-                for (std::size_t j = 0; j < lanes; ++j)
-                    EXPECT_EQ(got[j].draws(), want[j].draws()) << j;
             }
         }
     }

@@ -365,12 +365,16 @@ TEST(Dist, DeadEndpointInTheFleetIsRoutedAround)
     std::vector<dist::WorkerEndpoint> eps = fleet.endpoints;
     eps.push_back(dist::WorkerEndpoint{"127.0.0.1", dead.port()});
     dist::DistConfig cfg = testConfig(eps);
-    // One refused connect is enough: the endpoint is declared Dead
-    // before the (fast) batch can finish, making the health assertion
-    // below deterministic.
+    // One refused connect is enough to declare the endpoint Dead.
     cfg.pool.failureBudget = 1;
     dist::Coordinator coord(cfg);
     const dist::DistOutcome out = coord.run(batch);
+    // The (fast) batch can finish before worker 1's session ever
+    // dials it. Dial it now, between batches, so the health verdict
+    // is in before the assertions; a worker already Dead returns at
+    // once.
+    coord.workers().resetStop();
+    EXPECT_FALSE(coord.workers().ensureConnected(1));
 
     EXPECT_TRUE(out.ledger.balanced());
     EXPECT_EQ(out.ledger.completed, out.ledger.shards);

@@ -374,14 +374,35 @@ TEST(Server, OverCapacityBurstIsShedLoudlyNeverSilently)
     net::ScenarioServer server(sc);
     ASSERT_TRUE(server.start());
 
+    // Poll the server's own metrics instead of sleeping: a fixed delay
+    // can land before or after the state it waits for.
+    const auto waitFor = [](const auto &ready) {
+        const auto giveUp =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (!ready()) {
+            if (std::chrono::steady_clock::now() >= giveUp)
+                return false;
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+        return true;
+    };
+    const obs::Counter &accepted = reg.counter("net.requests.accepted");
+    const obs::Counter &shedCount = reg.counter("net.requests.shed");
+
+    // The pin would run for many seconds; the test cancels it once the
+    // burst is in, so it outlasts the burst on any host.
     TestClient slow(server.port());
     ASSERT_TRUE(slow.connected());
     net::WireRequest pin = skewRequest(100);
-    pin.trials = 4000;
+    pin.rows = 128;
+    pin.cols = 128;
+    pin.trials = 1u << 16;
     pin.grain = 1;
     ASSERT_TRUE(slow.sendLine(net::encodeRequest(pin)));
-    // Let the pin request reach the dispatcher before bursting.
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    // The pin holds the one compute thread once its sweep job has
+    // started on the service pool (after run() re-armed cancel()).
+    const obs::Counter &jobs = reg.counter("serve.pool.jobs");
+    ASSERT_TRUE(waitFor([&] { return jobs.value() >= 1; }));
 
     constexpr std::size_t burst = 16;
     TestClient client(server.port());
@@ -391,6 +412,11 @@ TEST(Server, OverCapacityBurstIsShedLoudlyNeverSilently)
         rq.trials = 1;
         ASSERT_TRUE(client.sendLine(net::encodeRequest(rq)));
     }
+    // Every burst line parsed (admitted or shed): release the pin.
+    ASSERT_TRUE(waitFor([&] {
+        return accepted.value() + shedCount.value() == burst + 1;
+    }));
+    server.service().cancel();
 
     std::size_t completed = 0;
     std::size_t shed = 0;

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -237,7 +238,13 @@ TEST(Trace, ChromeJsonIsBalancedAndMonotonic)
     tracer.nameCurrentThread("main");
     {
         VSYNC_TRACE_SPAN(&tracer, "outer");
-        { VSYNC_TRACE_SPAN(&tracer, "inner"); }
+        {
+            VSYNC_TRACE_SPAN(&tracer, "inner");
+            // Spans are timed in whole microseconds, and one shorter
+            // than that is written as an instant; both spans must last
+            // long enough to be written as complete ("X") events.
+            std::this_thread::sleep_for(std::chrono::microseconds(2));
+        }
         tracer.recordInstant("marker");
     }
     EXPECT_EQ(tracer.eventCount(), 3u);

@@ -6,8 +6,7 @@
  * forward pass; fault::simulate{Tree,Grid}ArrivalsUnderFaults drive a
  * full desim world. For random onset-0 plans and hand-built edge cases
  * the two must agree bit for bit, arrival by arrival, and consume the
- * same number of delay draws. Plans the pass does not cover take the
- * desim fallback, which the sweeps count.
+ * same number of delay draws. Plans the pass does not cover abort.
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +23,7 @@
 #include "fault/injector.hh"
 #include "layout/generators.hh"
 #include "mc/resilience.hh"
-#include "obs/metrics.hh"
+#include "test_util.hh"
 
 namespace
 {
@@ -58,7 +57,7 @@ struct Scenario
 /** The oracle: desim arrivals of @p plan, delays drawn from @p rng as
  *  the resilience delay model defines them. */
 std::vector<Time>
-desimArrivals(const mc::ResilienceScenario &s, const FaultPlan &plan,
+oracleArrivals(const mc::ResilienceScenario &s, const FaultPlan &plan,
               Rng &rng)
 {
     const mc::ResilienceConfig &rc = s.rc;
@@ -89,17 +88,16 @@ desimArrivals(const mc::ResilienceScenario &s, const FaultPlan &plan,
 /**
  * Run @p plan through cellArrivals and through desim on copies of one
  * delay stream; expect bitwise-equal arrivals and equal draw counts.
- * Returns cellArrivals' verdict (true = compiled pass ran).
  */
-bool
+void
 expectMatchesOracle(const mc::ResilienceScenario &s, const FaultPlan &plan,
                     std::uint64_t delay_seed, const std::string &what)
 {
     Rng compiledRng(delay_seed);
     Rng desimRng(delay_seed);
     std::vector<Time> got(s.kernel->cellCount(), -1.0);
-    const bool compiled = s.cellArrivals(plan, compiledRng, got.data());
-    const std::vector<Time> want = desimArrivals(s, plan, desimRng);
+    s.cellArrivals(plan, compiledRng, got.data());
+    const std::vector<Time> want = oracleArrivals(s, plan, desimRng);
     EXPECT_EQ(compiledRng.draws(), desimRng.draws()) << what;
     EXPECT_EQ(got.size(), want.size()) << what;
     for (std::size_t c = 0; c < got.size() && c < want.size(); ++c) {
@@ -111,7 +109,6 @@ expectMatchesOracle(const mc::ResilienceScenario &s, const FaultPlan &plan,
             break;
         }
     }
-    return compiled;
 }
 
 /** A hand-built fault striking at t = 0. */
@@ -154,8 +151,7 @@ TEST(ResilienceCompiled, RandomOnsetZeroPlansMatchDesim)
                     mc::distributionKindName(kind) + " " +
                     std::to_string(side) + "x" + std::to_string(side) +
                     " plan " + std::to_string(t);
-                EXPECT_TRUE(expectMatchesOracle(sc.s, plan, 1000 + t, what))
-                    << what;
+                expectMatchesOracle(sc.s, plan, 1000 + t, what);
                 ++plans;
             }
         }
@@ -213,7 +209,7 @@ TEST(ResilienceCompiled, TreeEdgeCasesMatchDesim)
         for (const auto &[name, plan] : cases) {
             const std::string what =
                 mc::distributionKindName(kind) + ": " + name;
-            EXPECT_TRUE(expectMatchesOracle(s, plan, 7, what)) << what;
+            expectMatchesOracle(s, plan, 7, what);
         }
     }
 }
@@ -269,12 +265,12 @@ TEST(ResilienceCompiled, TrixEdgeCasesMatchDesim)
                  immediate(FaultKind::TransientGlitch, node(2, 2), width)})},
     };
     for (const auto &[name, plan] : cases)
-        EXPECT_TRUE(expectMatchesOracle(s, plan, 11, "trix: " + name))
-            << name;
+        expectMatchesOracle(s, plan, 11, "trix: " + name);
 }
 
-TEST(ResilienceCompiled, UncoveredPlansFallBackToDesim)
+TEST(ResilienceCompiledDeath, UncoveredPlansAbort)
 {
+    testutil::useThreadsafeDeathTests();
     for (const mc::DistributionKind kind : kKinds) {
         const Scenario sc(5, kind);
         const std::string name = mc::distributionKindName(kind);
@@ -282,70 +278,18 @@ TEST(ResilienceCompiled, UncoveredPlansFallBackToDesim)
         const FaultPlan early = planOf({immediate(FaultKind::DeadBuffer, 3)});
         FaultPlan late;
         late.add(Fault{FaultKind::DeadBuffer, 3, 0.3, 1.0, false});
-        EXPECT_FALSE(expectMatchesOracle(sc.s, late, 5, name + " late"));
-        EXPECT_TRUE(expectMatchesOracle(sc.s, early, 5, name + " early"));
+        expectMatchesOracle(sc.s, early, 5, name + " early");
+        std::vector<Time> out(sc.s.kernel->cellCount());
+        Rng rng(5);
+        EXPECT_DEATH(sc.s.cellArrivals(late, rng, out.data()), "onset")
+            << name;
         // A stage killed after a stuck-high net already rose through it.
         const FaultPlan reordered =
             planOf({immediate(FaultKind::StuckAtNet, 0, 1.0, true),
                     immediate(FaultKind::DeadBuffer, 0)});
-        EXPECT_FALSE(
-            expectMatchesOracle(sc.s, reordered, 5, name + " reordered"));
-    }
-}
-
-TEST(ResilienceCompiled, FutureOnsetTrialsAreCountedFallbacks)
-{
-    for (const mc::DistributionKind kind : kKinds) {
-        Scenario sc(5, kind);
-        sc.s.rates = FaultRates::mixed(0.2);
-        sc.s.rates.onsetWindow = 0.5;
-        obs::MetricsRegistry reg;
-        mc::TrialCounters counters;
-        counters.desimFallbacks =
-            &reg.counter("mc.resilience.desim_fallbacks");
-
-        const std::uint64_t seed = 0xfa11;
-        std::uint64_t expected = 0;
-        for (std::uint64_t t = 0; t < 12; ++t) {
-            const fault::DistributionOutcome got =
-                sc.s.runTrial(seed, t, &counters);
-            const Rng trialRng = Rng::forTrial(seed, t);
-            Rng planRng = trialRng.deriveStream(mc::planSalt);
-            Rng delayRng = trialRng.deriveStream(mc::delaySalt);
-            const FaultPlan plan =
-                FaultPlan::generate(sc.s.universe, sc.s.rates, planRng);
-            expected += plan.empty() ? 0 : 1;
-            const std::vector<Time> want =
-                desimArrivals(sc.s, plan, delayRng);
-            ASSERT_EQ(got.cellArrival.size(), want.size());
-            for (std::size_t c = 0; c < want.size(); ++c)
-                EXPECT_EQ(std::bit_cast<std::uint64_t>(got.cellArrival[c]),
-                          std::bit_cast<std::uint64_t>(want[c]))
-                    << mc::distributionKindName(kind) << " trial " << t;
-        }
-        EXPECT_GT(expected, 0u);
-        EXPECT_EQ(counters.desimFallbacks->value(), expected)
-            << mc::distributionKindName(kind);
-    }
-}
-
-TEST(ResilienceCompiled, MeteredMixedSweepsNeverFallBack)
-{
-    const layout::Layout l = layout::meshLayout(8, 8);
-    for (const mc::DistributionKind kind : kKinds) {
-        obs::MetricsRegistry reg;
-        mc::McConfig cfg;
-        cfg.trials = 24;
-        cfg.threads = 2;
-        cfg.metrics = &reg;
-        const std::vector<mc::ResiliencePoint> curve = mc::degradationCurve(
-            l, 8, 8, kind, {0.05, 0.3}, mc::ResilienceConfig{}, cfg);
-        ASSERT_EQ(curve.size(), 2u);
-        EXPECT_GT(curve[1].meanFaults, 0.0);
-        EXPECT_NE(reg.toJsonString().find("mc.resilience.desim_fallbacks"),
-                  std::string::npos);
-        EXPECT_EQ(reg.counter("mc.resilience.desim_fallbacks").value(), 0u)
-            << mc::distributionKindName(kind);
+        EXPECT_DEATH(sc.s.cellArrivals(reordered, rng, out.data()),
+                     "stuck-high")
+            << name;
     }
 }
 
@@ -364,6 +308,8 @@ TEST(ResilienceCompiled, CurvePointsEqualPerRateSweeps)
         const std::vector<mc::ResiliencePoint> curve = mc::degradationCurve(
             l, 6, 6, kind, rates, mc::ResilienceConfig{}, cfg);
         ASSERT_EQ(curve.size(), rates.size());
+        EXPECT_GT(curve[2].meanFaults, 0.0)
+            << mc::distributionKindName(kind);
         for (std::size_t r = 0; r < rates.size(); ++r) {
             const mc::ResiliencePoint p =
                 mc::resilienceAtRate(l, 6, 6, kind, rates[r],
