@@ -12,9 +12,7 @@
  * concurrency, without which the speedups are uninterpretable.
  */
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util.hh"
 #include "circuit/process.hh"
@@ -26,24 +24,6 @@ namespace
 {
 
 using namespace vsync;
-
-/** Wall-clock milliseconds of @p fn, best of @p reps runs. */
-template <typename Fn>
-double
-bestMillis(int reps, const Fn &fn)
-{
-    double best = -1.0;
-    for (int r = 0; r < reps; ++r) {
-        const auto t0 = std::chrono::steady_clock::now();
-        fn();
-        const auto t1 = std::chrono::steady_clock::now();
-        const double ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        if (best < 0.0 || ms < best)
-            best = ms;
-    }
-    return best;
-}
 
 struct ScalingRow
 {
@@ -64,7 +44,7 @@ scale(const std::vector<unsigned> &threadCounts, int reps,
     for (const unsigned tc : threadCounts) {
         ScalingRow row;
         row.threads = tc;
-        row.millis = bestMillis(reps, [&] { row.result = sweep(tc); });
+        row.millis = bench::bestMillis(reps, [&] { row.result = sweep(tc); });
         row.deterministic =
             rows.empty() || row.result.bitIdentical(rows.front().result);
         row.speedup = rows.empty() ? 1.0 : rows.front().millis / row.millis;

@@ -6,6 +6,7 @@
 #ifndef VSYNC_BENCH_BENCH_UTIL_HH
 #define VSYNC_BENCH_BENCH_UTIL_HH
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -62,6 +63,24 @@ class BenchJson
     std::ofstream out;
     JsonWriter json;
 };
+
+/** Wall-clock milliseconds of @p fn, best of @p reps runs. */
+template <typename Fn>
+double
+bestMillis(int reps, const Fn &fn)
+{
+    double best = -1.0;
+    for (int r = 0; r < reps; ++r) {
+        const auto t0 = std::chrono::steady_clock::now();
+        fn();
+        const auto t1 = std::chrono::steady_clock::now();
+        const double ms =
+            std::chrono::duration<double, std::milli>(t1 - t0).count();
+        if (best < 0.0 || ms < best)
+            best = ms;
+    }
+    return best;
+}
 
 /** Per-cell clock arrival offsets from a sampled instance. */
 inline std::vector<Time>

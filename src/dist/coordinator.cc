@@ -148,8 +148,6 @@ Coordinator::Coordinator(DistConfig config)
                  "DistConfig needs at least one worker");
     VSYNC_ASSERT(cfg.maxInFlightPerWorker >= 1,
                  "maxInFlightPerWorker must be >= 1");
-    VSYNC_ASSERT(cfg.maxShardAttempts >= 1,
-                 "maxShardAttempts must be >= 1");
     VSYNC_ASSERT(cfg.shardDeadlineSeconds > 0.0,
                  "shardDeadlineSeconds must be > 0");
     VSYNC_ASSERT(cfg.hedgeAfterSeconds >= 0.0,
@@ -204,7 +202,7 @@ Coordinator::sessionLoop(unsigned w, RunState &st)
             return;
         if (!permanent && s.inFlight > 0)
             return; // a hedge twin is still trying
-        if (permanent || s.attempts >= cfg.maxShardAttempts ||
+        if (permanent || s.attempts >= maxShardAttempts ||
             st.stop) {
             s.state = ShardState::Lost;
             ++st.ledger.lost;
@@ -254,7 +252,7 @@ Coordinator::sessionLoop(unsigned w, RunState &st)
                 const ShardInfo &s = st.shards[i];
                 if (s.state != ShardState::InFlight || s.inFlight != 1 ||
                     s.ownerWorker == w ||
-                    s.attempts >= cfg.maxShardAttempts)
+                    s.attempts >= maxShardAttempts)
                     continue;
                 const double age =
                     std::chrono::duration<double>(now - s.firstSent)

@@ -40,8 +40,8 @@
  *
  * The ShardLedger accounts for every attempt and shard exactly:
  * dispatched == completed + superseded + failed and shards ==
- * completed + lost always hold (balanced() checks; the scaling bench
- * gates on it).
+ * completed + lost always hold (balanced() checks; test_dist and
+ * perfbench's fleet_batch assert it).
  */
 
 #ifndef VSYNC_DIST_COORDINATOR_HH
@@ -59,6 +59,10 @@
 namespace vsync::dist
 {
 
+/** Dispatches per shard (first try + retries + hedges) before the
+ *  shard is Lost. */
+constexpr unsigned maxShardAttempts = 5;
+
 /** Coordinator knobs. */
 struct DistConfig
 {
@@ -73,9 +77,6 @@ struct DistConfig
      * silently dead worker takes.
      */
     double shardDeadlineSeconds = 60.0;
-    /** Dispatches per shard (first try + retries + hedges) before the
-     *  shard is Lost. */
-    unsigned maxShardAttempts = 5;
     /** Duplicate slow shards onto idle workers. */
     bool hedge = true;
     /** Outstanding age before a shard is eligible for hedging. */
@@ -128,7 +129,7 @@ struct ShardLedger
     /** Shards that never completed (Partial trials upstream). */
     std::uint64_t lost = 0;
 
-    /** The two partition identities the bench gates on. */
+    /** The two partition identities above. */
     bool
     balanced() const
     {

@@ -116,7 +116,7 @@ WorkerPool::WorkerPool(std::vector<WorkerEndpoint> endpoints,
         // Each worker jitters on its own counter-based substream, so
         // backoff schedules are decorrelated yet fully reproducible.
         wk.backoff = Backoff(cfg.backoff, Rng::forTrial(cfg.seed, w));
-        wk.reader = net::LineReader(cfg.maxResponseLineBytes);
+        wk.reader = net::LineReader(maxResponseLineBytes);
         if (cfg.metrics) {
             wk.latency = &cfg.metrics->histogram(
                 "dist.worker." + std::to_string(w) + ".latency_ms",
@@ -228,7 +228,7 @@ WorkerPool::connectOnce(unsigned w)
 {
     Worker &wk = workers[w];
     closeWorker(wk);
-    wk.reader = net::LineReader(cfg.maxResponseLineBytes);
+    wk.reader = net::LineReader(maxResponseLineBytes);
     wk.fd = connectTo(wk.ep.host, wk.ep.port);
     if (wk.fd < 0)
         return false;

@@ -63,6 +63,13 @@ enum class WorkerState
 /** Human-readable state name. */
 const char *workerStateName(WorkerState s);
 
+/**
+ * Response line-length cap. Responses legitimately dwarf request
+ * lines (per-trial sample arrays), so this is bounded paranoia
+ * against a corrupt peer, not the 1 MiB request-side default.
+ */
+constexpr std::size_t maxResponseLineBytes = std::size_t{256} << 20;
+
 /** Pool-wide knobs. */
 struct WorkerPoolConfig
 {
@@ -76,12 +83,6 @@ struct WorkerPoolConfig
     unsigned failureBudget = 3;
     /** Patience for the info handshake reply on connect. */
     double pingTimeoutSeconds = 5.0;
-    /**
-     * Response line-length cap. Responses legitimately dwarf request
-     * lines (per-trial sample arrays), so this is bounded paranoia
-     * against a corrupt peer, not the 1 MiB request-side default.
-     */
-    std::size_t maxResponseLineBytes = std::size_t{256} << 20;
     /**
      * Seed of the backoff jitter substreams: worker w jitters with
      * Rng::forTrial(seed, w), decorrelating the fleet's retries while

@@ -45,12 +45,6 @@ Layout::routeRemaining()
 }
 
 Length
-Layout::edgeLength(graph::EdgeId e) const
-{
-    return routes.at(e).length();
-}
-
-Length
 Layout::maxEdgeLength() const
 {
     Length longest = 0.0;

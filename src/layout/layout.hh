@@ -67,9 +67,6 @@ class Layout
         return routes.at(e);
     }
 
-    /** Physical (Manhattan) length of directed edge @p e's route. */
-    Length edgeLength(graph::EdgeId e) const;
-
     /** Longest routed communication edge. */
     Length maxEdgeLength() const;
 

@@ -10,7 +10,7 @@
  * the sweep statistics plus the full per-trial sample vector, doubles
  * rendered by JsonWriter::formatDouble (shortest round-trip), so a
  * client can check the served numbers bit-for-bit against a direct
- * serve::SweepService run -- the property bench_net_throughput gates.
+ * serve::SweepService run -- the property test_net asserts.
  *
  * The request parser is a small allocation-light recursive-descent
  * scanner over the line (no DOM, no maps); integers are parsed as

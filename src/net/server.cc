@@ -162,12 +162,12 @@ ScenarioServer::stop()
     }
 
     // 2. Drain: the queue is frozen now (no readers left). Give the
-    //    dispatcher cfg.drainSeconds to answer what was admitted.
+    //    dispatcher drainSeconds to answer what was admitted.
     {
         std::unique_lock<std::mutex> lock(queueMutex);
         const bool drained = drainCv.wait_for(
             lock,
-            std::chrono::duration<double>(cfg.drainSeconds),
+            std::chrono::duration<double>(drainSeconds),
             [this] { return queue.empty() && !dispatcherBusy; });
         if (!drained) {
             // 3. Out of patience: the in-flight batch gets cancelled

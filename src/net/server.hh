@@ -63,6 +63,9 @@ class MetricsRegistry;
 namespace vsync::net
 {
 
+/** stop(): queue-drain budget before stragglers are expired. */
+constexpr double drainSeconds = 5.0;
+
 /** Server knobs. */
 struct ServerConfig
 {
@@ -84,8 +87,6 @@ struct ServerConfig
      * never sends '\n' cannot balloon server memory.
      */
     std::size_t maxLineBytes = defaultMaxLineBytes;
-    /** stop(): queue-drain budget before stragglers are expired. */
-    double drainSeconds = 5.0;
     /** Optional registry for "net.*" and the service's "serve.*". */
     obs::MetricsRegistry *metrics = nullptr;
 };

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <chrono>
+#include <string>
 
 #include "clocktree/clock_tree.hh"
 #include "common/logging.hh"
@@ -13,6 +14,9 @@ namespace vsync::serve
 
 namespace
 {
+
+/** Name prefix of the cache's counters and compile gauge. */
+const std::string metricsPrefix = "serve.cache.";
 
 /**
  * Two independent FNV-1a streams over the same word sequence. A single
@@ -140,7 +144,7 @@ ScenarioCache::getOrCompile(const ScenarioKey &key,
             future = it->second.kernel;
             hitCount.fetch_add(1, std::memory_order_relaxed);
             if (cfg.metrics)
-                cfg.metrics->counter(cfg.metricsPrefix + "hits").inc();
+                cfg.metrics->counter(metricsPrefix + "hits").inc();
         } else {
             // Miss: insert the future as a placeholder before
             // compiling, so concurrent callers of the same scenario
@@ -152,7 +156,7 @@ ScenarioCache::getOrCompile(const ScenarioKey &key,
             compiler = true;
             missCount.fetch_add(1, std::memory_order_relaxed);
             if (cfg.metrics)
-                cfg.metrics->counter(cfg.metricsPrefix + "misses").inc();
+                cfg.metrics->counter(metricsPrefix + "misses").inc();
             while (entries.size() > cfg.capacity) {
                 // Evict coldest. Waiters on an evicted in-flight entry
                 // are unaffected: they hold the shared state.
@@ -161,7 +165,7 @@ ScenarioCache::getOrCompile(const ScenarioKey &key,
                 evictionCount.fetch_add(1, std::memory_order_relaxed);
                 if (cfg.metrics)
                     cfg.metrics
-                        ->counter(cfg.metricsPrefix + "evictions")
+                        ->counter(metricsPrefix + "evictions")
                         .inc();
             }
         }
@@ -203,7 +207,7 @@ ScenarioCache::noteCompiled(double ms)
                                             std::memory_order_relaxed))
         ;
     if (cfg.metrics)
-        cfg.metrics->gauge(cfg.metricsPrefix + "compile_ms").add(ms);
+        cfg.metrics->gauge(metricsPrefix + "compile_ms").add(ms);
 }
 
 } // namespace vsync::serve

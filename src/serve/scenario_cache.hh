@@ -29,7 +29,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 
 #include "core/skew_kernel.hh"
@@ -74,12 +73,11 @@ class ScenarioCache
         /** Max resident kernels; at least 1. */
         std::size_t capacity = 32;
         /**
-         * Optional registry receiving "<prefix>hits" / "misses" /
-         * "evictions" counters and a cumulative "<prefix>compile_ms"
+         * Optional registry receiving "serve.cache.hits" / "misses" /
+         * "evictions" counters and a cumulative "serve.cache.compile_ms"
          * gauge (wall clock, so not bit-stable across runs).
          */
         obs::MetricsRegistry *metrics = nullptr;
-        std::string metricsPrefix = "serve.cache.";
     };
 
     ScenarioCache();

@@ -45,8 +45,7 @@ isSkewRequest(const SweepRequest &rq)
 
 SweepService::SweepService(ServiceConfig config)
     : cfg(config),
-      kernels(ScenarioCache::Config{config.cacheCapacity, config.metrics,
-                                    "serve.cache."}),
+      kernels(ScenarioCache::Config{config.cacheCapacity, config.metrics}),
       pool(config.threads)
 {
     if (cfg.metrics) {

@@ -16,21 +16,6 @@ appendWorkUnits(std::size_t request, std::size_t trials,
         out.push_back(WorkUnit{request, b, std::min(b + grain, trials)});
 }
 
-std::vector<WorkUnit>
-decomposeWorkUnits(const std::vector<SweepRequest> &batch)
-{
-    std::vector<WorkUnit> units;
-    for (std::size_t r = 0; r < batch.size(); ++r) {
-        const mc::McConfig &cfg =
-            std::holds_alternative<SkewRequest>(batch[r])
-                ? std::get<SkewRequest>(batch[r]).cfg
-                : std::get<ResilienceRequest>(batch[r]).cfg;
-        cfg.validate();
-        appendWorkUnits(r, cfg.trials, cfg.grain, units);
-    }
-    return units;
-}
-
 void
 prepareOutcome(bool is_skew, std::size_t trials, double fault_rate,
                RequestOutcome &o)

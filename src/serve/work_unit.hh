@@ -3,12 +3,13 @@
  * The sharding, layout and folding seams of the serving layer, exposed.
  *
  * SweepService splits every request's trials into grain-sized
- * WorkUnits and, after the fan-out, folds the per-trial samples back
- * into statistics in trial order. Both halves are pure functions of
- * the batch, so they live here as free functions rather than inside
- * the service: the distributed coordinator (src/dist/) shards the
- * *same* units across remote workers and folds the returned samples
- * with the *same* fold, which is what makes "a distributed run is
+ * WorkUnits (appendWorkUnits) and, after the fan-out, folds the
+ * per-trial samples back into statistics in trial order
+ * (foldOutcomeInTrialOrder). Both halves are pure functions of the
+ * batch, so they live here as free functions rather than inside the
+ * service: the distributed coordinator (src/dist/) calls the *same*
+ * appendWorkUnits to shard across remote workers and folds the
+ * returned samples with the *same* fold, which is what makes "a distributed run is
  * bit-identical to a local run" true by construction instead of by
  * test alone. Any component that honours these two seams -- identical
  * unit boundaries, identical trial-order fold -- produces identical
@@ -42,18 +43,12 @@ struct WorkUnit
 /**
  * Append the grain-sized units covering [0, trials) of request
  * @p request: [0, grain), [grain, 2*grain), ... with a short tail.
+ * SweepService and the distributed coordinator both shard through
+ * this call, request by request, so their unit boundaries agree.
  * @pre grain >= 1.
  */
 void appendWorkUnits(std::size_t request, std::size_t trials,
                      std::size_t grain, std::vector<WorkUnit> &out);
-
-/**
- * Decompose @p batch into units, request-major then trial-major --
- * the deterministic order SweepService schedules and the distributed
- * coordinator dispatches. Configs are validated as a side effect.
- */
-std::vector<WorkUnit>
-decomposeWorkUnits(const std::vector<SweepRequest> &batch);
 
 /**
  * Lay out @p o for a request of @p trials trials before any sample

@@ -315,11 +315,16 @@ TEST(Dist, ShardAssignmentPermutationDoesNotChangeBytes)
 
 TEST(Dist, WorkerKilledMidRunIsReassignedAndStaysBitIdentical)
 {
-    // A long batch on two workers; one is stopped mid-run. Its shards
-    // must be requeued onto the survivor and the final bytes must be
-    // exactly what an undisturbed local run computes.
+    // A long mixed batch on two workers; one is stopped mid-run. Its
+    // shards must be requeued onto the survivor and the final bytes of
+    // every request must be exactly what an undisturbed local run
+    // computes. The resilience requests go first, so the kill lands
+    // while their shards are in flight; the long skew tail keeps the
+    // run going well past it on any host.
     std::vector<net::WireRequest> batch = {
-        skewRequest(6, 6, 200000, 200)}; // 1000 shards, ~seconds
+        resilienceRequest(net::WireScheme::HTree, 4000, 100), // 40 shards
+        resilienceRequest(net::WireScheme::Trix, 4000, 100),  // 40 shards
+        skewRequest(6, 6, 200000, 200)}; // 1000 shards
     const LocalReference ref(batch);
 
     Fleet fleet(2);
@@ -352,7 +357,8 @@ TEST(Dist, WorkerKilledMidRunIsReassignedAndStaysBitIdentical)
     EXPECT_GT(out.ledger.retried, 0u);
     EXPECT_EQ(coord.workers().state(1), dist::WorkerState::Dead);
     ASSERT_EQ(out.outcomes.size(), batch.size());
-    expectBitIdentical(out.outcomes[0], ref.out.outcomes[0], 0);
+    for (std::size_t r = 0; r < batch.size(); ++r)
+        expectBitIdentical(out.outcomes[r], ref.out.outcomes[r], r);
 }
 
 TEST(Dist, DeadEndpointInTheFleetIsRoutedAround)

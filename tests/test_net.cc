@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the network front end: the wire protocol (round trips,
- * rejection of malformed requests), the loopback server (bit-identity
- * with direct SweepService runs at several pool widths, admission
- * control under burst, deadline propagation, graceful shutdown) and
- * the open-loop load generator's request accounting.
+ * rejection of malformed requests) and the loopback server
+ * (bit-identity with direct SweepService runs at several pool widths,
+ * a pipelined skew/resilience mix over two connections answered
+ * exactly once and bit-identically, admission control under burst,
+ * deadline propagation, graceful shutdown).
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +26,6 @@
 #include "layout/generators.hh"
 #include "mc/resilience.hh"
 #include "mc/sweeps.hh"
-#include "net/loadgen.hh"
 #include "net/protocol.hh"
 #include "net/server.hh"
 #include "obs/metrics.hh"
@@ -609,42 +609,137 @@ TEST(Server, ExportsNetMetrics)
     EXPECT_GE(reg.counter("serve.pool.jobs").value(), 1u);
 }
 
-TEST(LoadGen, EveryOfferedRequestIsAccountedForExactlyOnce)
+TEST(Server, PipelinedMixOverTwoConnectionsIsAnsweredOnceBitIdentically)
 {
+    // Two connections each pipeline a cycle of the four served
+    // (family, distribution) pairs without waiting for a reply. Every
+    // line must be answered exactly once, every ok reply must carry
+    // exactly the numbers a direct mc:: run computes, and the server's
+    // ledger must account for every line: admitted or shed, loudly.
+    std::vector<net::WireRequest> mix;
+    {
+        net::WireRequest rq;
+        rq.kind = net::QueryKind::Skew;
+        rq.scheme = net::WireScheme::HTree;
+        rq.rows = rq.cols = 8;
+        rq.seed = 0xbe7ULL;
+        rq.trials = 8;
+        rq.grain = 4;
+        rq.delay = kDelay;
+        mix.push_back(rq);
+        rq.scheme = net::WireScheme::Spine;
+        mix.push_back(rq);
+        rq.kind = net::QueryKind::Resilience;
+        rq.scheme = net::WireScheme::HTree;
+        rq.rows = rq.cols = 6;
+        rq.faultRate = 0.05;
+        mix.push_back(rq);
+        rq.scheme = net::WireScheme::Trix;
+        mix.push_back(rq);
+    }
+
+    // The references, built the way the server builds its scenarios:
+    // mesh layout, H-tree or spine builder, default physics.
+    struct Reference
+    {
+        std::vector<double> samples;
+        std::vector<double> clockedSamples;
+        double mean = 0.0;
+        double stddev = 0.0;
+    };
+    std::vector<Reference> refs;
+    for (const net::WireRequest &rq : mix) {
+        mc::McConfig cfg;
+        cfg.seed = rq.seed;
+        cfg.trials = rq.trials;
+        cfg.grain = rq.grain;
+        const layout::Layout l = layout::meshLayout(rq.rows, rq.cols);
+        Reference ref;
+        if (rq.kind == net::QueryKind::Skew) {
+            const auto tree =
+                rq.scheme == net::WireScheme::HTree
+                    ? clocktree::buildHTreeGrid(l, rq.rows, rq.cols)
+                    : clocktree::buildSpine(l);
+            const mc::McResult r = mc::skewSweep(l, tree, rq.delay, cfg);
+            ref.samples = r.samples;
+            ref.mean = r.stat.mean();
+            ref.stddev = r.stat.stddev();
+        } else {
+            mc::ResilienceConfig rc;
+            rc.delay = rq.delay;
+            const mc::ResiliencePoint p = mc::resilienceAtRate(
+                l, rq.rows, rq.cols,
+                rq.scheme == net::WireScheme::Trix
+                    ? mc::DistributionKind::TrixGrid
+                    : mc::DistributionKind::HTree,
+                rq.faultRate, rc, cfg);
+            ref.samples = p.maxCommSkew.samples;
+            ref.clockedSamples = p.clockedFraction.samples;
+            ref.mean = p.maxCommSkew.stat.mean();
+            ref.stddev = p.maxCommSkew.stat.stddev();
+        }
+        refs.push_back(std::move(ref));
+    }
+
+    obs::MetricsRegistry reg;
     net::ServerConfig sc;
     sc.computeThreads = 2;
+    sc.metrics = &reg;
     net::ScenarioServer server(sc);
     ASSERT_TRUE(server.start());
 
-    net::LoadGenConfig lg;
-    lg.port = server.port();
-    lg.connections = 2;
-    lg.offeredRps = 400.0;
-    lg.requests = 40;
-    net::WireRequest tmpl = skewRequest(0);
-    tmpl.trials = 4;
-    tmpl.grain = 2;
-    lg.mix = {tmpl};
-
-    const net::LoadGenResult res = net::runLoadGen(lg);
-    server.stop();
-
-    EXPECT_TRUE(res.transportOk);
-    EXPECT_EQ(res.offered, 40u);
-    EXPECT_EQ(res.completed + res.shed + res.errors + res.lost, 40u);
-    EXPECT_EQ(res.lost, 0u);
-    EXPECT_EQ(res.errors, 0u);
-    EXPECT_GE(res.completed, 1u);
-    for (std::size_t i = 0; i < res.responses.size(); ++i) {
-        ASSERT_TRUE(res.gotReply[i]) << i;
-        if (res.responses[i].ok) {
-            EXPECT_EQ(res.responses[i].trialsDone, 4u) << i;
+    // Connection c sends ids [c * perConnection, (c + 1) * perConnection);
+    // id i uses template i % 4, so both connections cycle the whole mix.
+    constexpr std::size_t connections = 2;
+    constexpr std::size_t perConnection = 24;
+    constexpr std::size_t lines = connections * perConnection;
+    TestClient clients[connections] = {TestClient(server.port()),
+                                       TestClient(server.port())};
+    for (std::size_t c = 0; c < connections; ++c) {
+        ASSERT_TRUE(clients[c].connected()) << c;
+        for (std::size_t j = 0; j < perConnection; ++j) {
+            const std::size_t id = c * perConnection + j;
+            net::WireRequest rq = mix[id % mix.size()];
+            rq.id = id;
+            ASSERT_TRUE(clients[c].sendLine(net::encodeRequest(rq))) << id;
         }
     }
-    if (res.completed > 0) {
-        EXPECT_GT(res.p50Ms, 0.0);
-        EXPECT_GE(res.p99Ms, res.p50Ms);
+
+    std::vector<std::uint8_t> answered(lines, 0);
+    std::vector<std::size_t> verified(mix.size(), 0);
+    for (std::size_t c = 0; c < connections; ++c) {
+        for (std::size_t j = 0; j < perConnection; ++j) {
+            const std::string line = clients[c].recvLine();
+            ASSERT_FALSE(line.empty())
+                << "connection " << c << " reply " << j << " missing";
+            const net::WireResponse rsp = parsedOk(line);
+            ASSERT_GE(rsp.id, c * perConnection) << c;
+            ASSERT_LT(rsp.id, (c + 1) * perConnection) << c;
+            EXPECT_FALSE(answered[rsp.id]) << "id " << rsp.id;
+            answered[rsp.id] = 1;
+            if (!rsp.ok) {
+                EXPECT_EQ(rsp.error, net::errOverloaded) << rsp.id;
+                continue;
+            }
+            const std::size_t t = rsp.id % mix.size();
+            const Reference &ref = refs[t];
+            EXPECT_TRUE(rsp.complete) << rsp.id;
+            EXPECT_EQ(rsp.samples, ref.samples) << rsp.id;
+            EXPECT_EQ(rsp.clockedSamples, ref.clockedSamples) << rsp.id;
+            EXPECT_EQ(rsp.mean, ref.mean) << rsp.id;
+            EXPECT_EQ(rsp.stddev, ref.stddev) << rsp.id;
+            ++verified[t];
+        }
     }
+    server.stop();
+
+    // The admission queue is deeper than the whole burst, so every
+    // template was served and checked at least once.
+    for (std::size_t t = 0; t < mix.size(); ++t)
+        EXPECT_GE(verified[t], 1u) << "template " << t;
+    EXPECT_EQ(reg.counter("net.requests.accepted").value() +
+                  reg.counter("net.requests.shed").value(),
+              lines);
 }
 
 } // namespace
