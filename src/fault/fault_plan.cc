@@ -52,10 +52,6 @@ FaultRates::mixed(double rate)
     return r;
 }
 
-namespace
-{
-
-/** Sites a kind's Bernoulli pass ranges over. */
 std::size_t
 sitesOf(FaultKind kind, const FaultUniverse &u)
 {
@@ -89,8 +85,6 @@ rateOf(FaultKind kind, const FaultRates &r)
     }
     return 0.0;
 }
-
-} // namespace
 
 FaultPlan
 FaultPlan::generate(const FaultUniverse &universe, const FaultRates &rates,

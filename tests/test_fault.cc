@@ -3,11 +3,14 @@
  * Tests for the fault-injection subsystem: deterministic fault plans,
  * the injector seams on desim/clocktree/hybrid targets, the TRIX
  * redundant grid's median voting, and the resilience sweeps'
- * bit-identical-across-threads guarantee.
+ * bit-identical-across-threads guarantee and binomial fault counts.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "clocktree/buffering.hh"
@@ -24,6 +27,7 @@
 #include "hybrid/partition.hh"
 #include "layout/generators.hh"
 #include "mc/resilience.hh"
+#include "obs/metrics.hh"
 
 namespace
 {
@@ -41,6 +45,48 @@ testUniverse()
     u.clockNets = 100;
     u.handshakeWires = 60;
     return u;
+}
+
+/**
+ * P(X > @p x) for X ~ chi-squared with @p df degrees of freedom: the
+ * regularized upper incomplete gamma Q(df / 2, x / 2), by its series
+ * below a + 1 and its continued fraction above (Numerical Recipes 6.2).
+ */
+double
+chiSquareSurvival(double df, double x)
+{
+    const double a = df / 2.0;
+    const double z = x / 2.0;
+    if (z <= 0.0)
+        return 1.0;
+    const double front = std::exp(-z + a * std::log(z) - std::lgamma(a));
+    if (z < a + 1.0) {
+        double term = 1.0 / a;
+        double sum = term;
+        for (int n = 1; n < 1000 && term > sum * 1e-16; ++n) {
+            term *= z / (a + n);
+            sum += term;
+        }
+        return 1.0 - front * sum;
+    }
+    constexpr double tiny = 1e-300;
+    double b = z + 1.0 - a;
+    double c = 1.0 / tiny;
+    double d = 1.0 / b;
+    double h = d;
+    for (int i = 1; i < 1000; ++i) {
+        const double an = -i * (i - a);
+        b += 2.0;
+        d = an * d + b;
+        d = std::fabs(d) < tiny ? tiny : d;
+        c = b + an / c;
+        c = std::fabs(c) < tiny ? tiny : c;
+        d = 1.0 / d;
+        h *= d * c;
+        if (std::fabs(d * c - 1.0) < 1e-16)
+            break;
+    }
+    return front * h;
 }
 
 // --- Fault plans. ---------------------------------------------------
@@ -378,6 +424,70 @@ TEST(Resilience, GridDegradesMoreGracefullyThanTree)
         l, 8, 8, mc::DistributionKind::TrixGrid, 0.02, rc, cfg);
     EXPECT_GT(grid.clockedFraction.mean(),
               tree.clockedFraction.mean());
+}
+
+TEST(Resilience, SweepFaultCountsFollowTheirBinomials)
+{
+    // The model check behind the counters: a sweep's
+    // mc.resilience.faults.<kind> count over T trials of a kind with S
+    // sites at rate p is Binomial(S * T, p). The standardised squares
+    // over every (scheme, rate, kind) cell sum to a chi-squared with
+    // one degree of freedom per cell; fixed seeds and rejection at
+    // p < 1e-6 keep the test deterministic.
+    EXPECT_NEAR(chiSquareSurvival(2.0, 10.0), std::exp(-5.0), 1e-12);
+    EXPECT_NEAR(chiSquareSurvival(1.0, 23.92812698), 1e-6, 1e-9);
+    EXPECT_NEAR(chiSquareSurvival(40.0, 39.3354), 0.5, 1e-4);
+
+    const layout::Layout l = layout::meshLayout(8, 8);
+    const mc::ResilienceConfig rc;
+    const FaultKind kinds[] = {FaultKind::DeadBuffer, FaultKind::DelayDrift,
+                               FaultKind::StuckAtNet,
+                               FaultKind::TransientGlitch};
+    for (const std::uint64_t seed : {0x5eedULL, 0xb1a5ULL}) {
+        double chi2 = 0.0;
+        int cells = 0;
+        std::string worst;
+        double worstZ = 0.0;
+        for (const mc::DistributionKind scheme :
+             {mc::DistributionKind::HTree, mc::DistributionKind::Spine,
+              mc::DistributionKind::TrixGrid}) {
+            for (const double rate : {0.005, 0.05, 0.3}) {
+                obs::MetricsRegistry reg;
+                mc::McConfig cfg;
+                cfg.seed = seed;
+                cfg.trials = 509; // odd: a remainder block per chunk
+                cfg.threads = 2;
+                cfg.metrics = &reg;
+                mc::resilienceAtRate(l, 8, 8, scheme, rate, rc, cfg);
+                const mc::ResilienceScenario sc =
+                    mc::compileResilienceScenario(l, 8, 8, scheme, rate, rc,
+                                                  core::directCompile());
+                for (const FaultKind kind : kinds) {
+                    const double n = static_cast<double>(
+                                         sitesOf(kind, sc.universe)) *
+                                     static_cast<double>(cfg.trials);
+                    const double p = rateOf(kind, sc.rates);
+                    const double x = static_cast<double>(
+                        reg.counter("mc.resilience.faults." +
+                                    faultKindName(kind))
+                            .value());
+                    const double z =
+                        (x - n * p) / std::sqrt(n * p * (1.0 - p));
+                    chi2 += z * z;
+                    ++cells;
+                    if (std::fabs(z) > std::fabs(worstZ)) {
+                        worstZ = z;
+                        worst = mc::distributionKindName(scheme) + " rate " +
+                                std::to_string(rate) + " " +
+                                faultKindName(kind);
+                    }
+                }
+            }
+        }
+        EXPECT_GT(chiSquareSurvival(cells, chi2), 1e-6)
+            << "seed " << seed << ": chi2 " << chi2 << " over " << cells
+            << " cells; worst " << worst << " z " << worstZ;
+    }
 }
 
 TEST(Resilience, HybridSurvivalFallsWithFaultRate)

@@ -15,6 +15,7 @@
  * random (not DFS-ordered) trees.
  */
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "clocktree/builders.hh"
 #include "common/rng.hh"
 #include "core/skew_kernel.hh"
+#include "fault/fault_plan.hh"
 #include "layout/generators.hh"
 #include "mc/resilience.hh"
 #include "mc/sweeps.hh"
@@ -251,33 +253,65 @@ TEST(SkewBlock, SkewSweepHandlesRemainderTrials)
 
 TEST(SkewBlock, ResilienceRunTrialBlockMatchesRunTrial)
 {
+    // Widths up to two lane groups of lockstep plans, at rates where
+    // most sites fail as well as sparse ones.
     const layout::Layout l = layout::meshLayout(5, 5);
     const mc::ResilienceConfig rc;
-    for (const auto kind : {mc::DistributionKind::HTree,
-                            mc::DistributionKind::TrixGrid}) {
-        const mc::ResilienceScenario scenario =
-            mc::compileResilienceScenario(l, 5, 5, kind, 0.05, rc,
-                                          core::directCompile());
-        std::vector<Time> laneScratch;
-        for (const std::size_t w : {std::size_t{1}, std::size_t{3},
-                                    std::size_t{4}, std::size_t{8}}) {
-            std::vector<double> skew(w), clocked(w), faults(w);
-            scenario.runTrialBlock(0x77, 10, w,
-                                   std::span<double>(skew),
-                                   std::span<double>(clocked),
-                                   std::span<double>(faults), nullptr,
-                                   laneScratch);
-            for (std::size_t j = 0; j < w; ++j) {
-                const fault::DistributionOutcome ref =
-                    scenario.runTrial(0x77, 10 + j);
-                EXPECT_EQ(skew[j], ref.maxCommSkew)
-                    << mc::distributionKindName(kind) << " lane " << j;
-                EXPECT_EQ(clocked[j], ref.clockedFraction)
-                    << mc::distributionKindName(kind) << " lane " << j;
-                EXPECT_EQ(faults[j],
-                          static_cast<double>(ref.faultCount))
-                    << mc::distributionKindName(kind) << " lane " << j;
+    for (const auto kind :
+         {mc::DistributionKind::HTree, mc::DistributionKind::Spine,
+          mc::DistributionKind::TrixGrid}) {
+        for (const double rate : {0.05, 0.5, 1.0}) {
+            const mc::ResilienceScenario scenario =
+                mc::compileResilienceScenario(l, 5, 5, kind, rate, rc,
+                                              core::directCompile());
+            std::vector<Time> laneScratch;
+            for (const std::size_t w :
+                 {std::size_t{1}, std::size_t{3}, std::size_t{4},
+                  std::size_t{8}, std::size_t{13}}) {
+                std::vector<double> skew(w), clocked(w), faults(w);
+                scenario.runTrialBlock(0x77, 10, w,
+                                       std::span<double>(skew),
+                                       std::span<double>(clocked),
+                                       std::span<double>(faults), nullptr,
+                                       laneScratch);
+                for (std::size_t j = 0; j < w; ++j) {
+                    const fault::DistributionOutcome ref =
+                        scenario.runTrial(0x77, 10 + j);
+                    const std::string what =
+                        mc::distributionKindName(kind) + " rate " +
+                        std::to_string(rate) + " width " +
+                        std::to_string(w) + " lane " + std::to_string(j);
+                    EXPECT_EQ(skew[j], ref.maxCommSkew) << what;
+                    EXPECT_EQ(clocked[j], ref.clockedFraction) << what;
+                    EXPECT_EQ(faults[j],
+                              static_cast<double>(ref.faultCount))
+                        << what;
+                }
             }
+        }
+    }
+
+    // Plans of more hits than a lane keeps between blocks (4,800 dead
+    // links alone on a 40x40 grid at rate 1): consecutive blocks must
+    // not depend on the lists released in between.
+    const layout::Layout big = layout::meshLayout(40, 40);
+    const mc::ResilienceScenario dense = mc::compileResilienceScenario(
+        big, 40, 40, mc::DistributionKind::TrixGrid, 1.0, rc,
+        core::directCompile());
+    std::vector<Time> laneScratch;
+    for (const std::uint64_t first : {std::uint64_t{3}, std::uint64_t{11}}) {
+        std::vector<double> skew(8), clocked(8), faults(8);
+        dense.runTrialBlock(0x77, first, 8, std::span<double>(skew),
+                            std::span<double>(clocked),
+                            std::span<double>(faults), nullptr, laneScratch);
+        for (std::size_t j = 0; j < 8; ++j) {
+            const fault::DistributionOutcome ref =
+                dense.runTrial(0x77, first + j);
+            EXPECT_EQ(skew[j], ref.maxCommSkew) << "trial " << first + j;
+            EXPECT_EQ(clocked[j], ref.clockedFraction)
+                << "trial " << first + j;
+            EXPECT_EQ(faults[j], static_cast<double>(ref.faultCount))
+                << "trial " << first + j;
         }
     }
 }
@@ -325,10 +359,16 @@ TEST(SkewBlock, RangeEntryPointsMatchScalarAndCountDraws)
                 << "trial " << first + k;
             EXPECT_EQ(faults[k], static_cast<double>(ref.faultCount))
                 << "trial " << first + k;
-            double s, c, f;
-            want_draws += scenario.runTrialBlock(
-                seed, first + k, 1, {&s, 1}, {&c, 1}, {&f, 1}, nullptr,
-                scratch);
+            // The oracle's draws: FaultPlan::generate's plan substreams
+            // plus the delay stream the compiled pass reads.
+            const Rng trial_rng = Rng::forTrial(seed, first + k);
+            Rng plan_rng = trial_rng.deriveStream(mc::planSalt);
+            Rng delay_rng = trial_rng.deriveStream(mc::delaySalt);
+            const fault::FaultPlan plan = fault::FaultPlan::generate(
+                scenario.universe, scenario.rates, plan_rng);
+            std::vector<Time> arrival(scenario.kernel->cellCount());
+            scenario.cellArrivals(plan, delay_rng, arrival.data());
+            want_draws += plan.draws() + delay_rng.draws();
         }
         EXPECT_EQ(draws, want_draws) << mc::distributionKindName(kind);
         EXPECT_GT(draws, 0u);
