@@ -21,18 +21,20 @@ namespace vsync::core
 namespace
 {
 
-// The compact fold: worst[j] = max(0, max over the pinned row pairs
+// The frontier fold: worst[j] = max(worst[j], max over the row pairs
 // (a[p], b[p]) of |row a - row b| in lane j), for the 8 lanes of a
-// compact scratch row. Subtract, absolute value and max are exact, and a max
-// does not depend on order, so every ISA yields the same bits; each
-// path keeps the eight running maxima in registers.
+// compact scratch row. Subtract, absolute value and max are exact, and
+// a max does not depend on order, so every ISA and every chunking
+// yields the same bits; each path keeps the eight running maxima in
+// registers for the chunk's pairs.
 
 void
 foldRowsScalar(const Time *rows, const std::int32_t *a,
                const std::int32_t *b, std::size_t pairs, Time *worst)
 {
     // Local maxima: stores through worst could alias rows.
-    Time acc[8] = {};
+    Time acc[8];
+    std::copy(worst, worst + 8, acc);
     for (std::size_t p = 0; p < pairs; ++p) {
         const Time *ra = rows + static_cast<std::size_t>(a[p]) * 8;
         const Time *rb = rows + static_cast<std::size_t>(b[p]) * 8;
@@ -50,8 +52,8 @@ foldRowsAvx2(const Time *rows, const std::int32_t *a,
 {
     const __m256d magnitude =
         _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-    __m256d lo = _mm256_setzero_pd();
-    __m256d hi = _mm256_setzero_pd();
+    __m256d lo = _mm256_loadu_pd(worst);
+    __m256d hi = _mm256_loadu_pd(worst + 4);
     for (std::size_t p = 0; p < pairs; ++p) {
         const Time *ra = rows + static_cast<std::size_t>(a[p]) * 8;
         const Time *rb = rows + static_cast<std::size_t>(b[p]) * 8;
@@ -101,7 +103,7 @@ SkewKernel::SkewKernel(const layout::Layout &l,
     const auto t0 = std::chrono::steady_clock::now();
     compileTree(t);
     compilePairs(l, &t);
-    compileSlots();
+    compileSchedule();
     buildMs = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - t0)
                   .count();
@@ -136,11 +138,11 @@ SkewKernel::compilePairs(const layout::Layout &l,
         }
     }
 
-    // Fold-only sorted copies. The public arrays above keep
-    // undirectedEdges() order (SkewReport/SkewInstance depend on it);
-    // the folds are max/count reductions, exact under any order, so
-    // they get endpoint-sorted copies whose gathers walk the arrival
-    // surface near-monotonically instead of in layout order.
+    // Cell-fold sorted copies for arrivalSkewBlock(). The public
+    // arrays above keep undirectedEdges() order (SkewReport/SkewInstance
+    // depend on it); the fold is a max/count reduction, exact under any
+    // order, so it gets endpoint-sorted copies whose gathers walk the
+    // arrival surface near-monotonically instead of in layout order.
     const std::size_t npairs = pairCellA.size();
     std::vector<std::pair<CellId, CellId>> cellPairs(npairs);
     for (std::size_t i = 0; i < npairs; ++i) {
@@ -153,20 +155,6 @@ SkewKernel::compilePairs(const layout::Layout &l,
     for (std::size_t i = 0; i < npairs; ++i) {
         foldCellA[i] = cellPairs[i].first;
         foldCellB[i] = cellPairs[i].second;
-    }
-    if (t) {
-        std::vector<std::pair<NodeId, NodeId>> nodePairs(npairs);
-        for (std::size_t i = 0; i < npairs; ++i) {
-            nodePairs[i] = {std::min(pairNodeA[i], pairNodeB[i]),
-                            std::max(pairNodeA[i], pairNodeB[i])};
-        }
-        std::sort(nodePairs.begin(), nodePairs.end());
-        foldNodeA.resize(npairs);
-        foldNodeB.resize(npairs);
-        for (std::size_t i = 0; i < npairs; ++i) {
-            foldNodeA[i] = nodePairs[i].first;
-            foldNodeB[i] = nodePairs[i].second;
-        }
     }
 }
 
@@ -259,26 +247,51 @@ SkewKernel::compileTree(const clocktree::ClockTree &t)
 }
 
 void
-SkewKernel::compileSlots()
+SkewKernel::compileSchedule()
 {
-    // Fold endpoints are pinned: their rows must survive until the
-    // fold. So is the root, whose all-zero row is then written once per
-    // range call instead of once per block. Any other node's row is
-    // read only by its children, so it is
-    // released when its last child (the highest child id) takes a row
-    // -- that child may take the very row it reads, as the propagation
-    // reads a step's parent row before writing its own -- and a
-    // childless unpinned node releases its row at once. Released rows
-    // are reused most recent first, so a pre-order numbering keeps the
-    // live set to the pinned rows plus one open path.
+    // Chunk c of the range entry point's propagation writes nodes
+    // [c * foldChunkNodes, (c + 1) * foldChunkNodes) (the root is
+    // written once per call), then folds the pairs whose later
+    // endpoint it wrote. A node's row is live from its own step until
+    // both its last child (in id order) has read it and the last chunk
+    // folding one of its pairs has ended. A row held only by children
+    // goes to the last child in place -- a step reads its parent before
+    // it writes -- and so does a row whose pairs were all folded at an
+    // earlier chunk's end; any other row is released at the end of the
+    // chunk that folds its last pair, and a node with neither is
+    // released as soon as it is written. Released rows are reused most
+    // recent first. Everything below is a counting pass: no sort.
     const std::size_t n = nodeCount();
-    std::vector<char> pinned(n, 0);
-    pinned[0] = 1;
-    for (std::size_t i = 0; i < foldNodeA.size(); ++i)
-        pinned[foldNodeA[i]] = pinned[foldNodeB[i]] = 1;
+    const std::size_t npairs = pairNodeA.size();
+    const NodeId C = static_cast<NodeId>(foldChunkNodes);
+    const NodeId chunks = static_cast<NodeId>((n + C - 1) / C);
+
     std::vector<NodeId> lastChild(n, invalidId);
     for (NodeId v = 1; static_cast<std::size_t>(v) < n; ++v)
         lastChild[parentOf[v]] = v;
+    // Bucket the pairs by fold chunk, in comm() order within a chunk;
+    // pairSlotA/B hold node ids until the rows are known.
+    std::vector<NodeId> lastFold(n, -1);
+    std::vector<std::uint32_t> fill(chunks + 1, 0);
+    for (std::size_t i = 0; i < npairs; ++i) {
+        const NodeId a = pairNodeA[i];
+        const NodeId b = pairNodeB[i];
+        const NodeId c = std::max(a, b) / C;
+        lastFold[a] = std::max(lastFold[a], c);
+        lastFold[b] = std::max(lastFold[b], c);
+        ++fill[c + 1];
+    }
+    for (NodeId c = 1; c <= chunks; ++c)
+        fill[c] += fill[c - 1];
+    chunkPairEnd.assign(fill.begin() + 1, fill.end());
+    pairSlotA.resize(npairs);
+    pairSlotB.resize(npairs);
+    for (std::size_t i = 0; i < npairs; ++i) {
+        const std::uint32_t k =
+            fill[std::max(pairNodeA[i], pairNodeB[i]) / C]++;
+        pairSlotA[k] = pairNodeA[i];
+        pairSlotB[k] = pairNodeB[i];
+    }
 
     std::vector<std::int32_t> slot(n);
     std::vector<std::int32_t> released;
@@ -290,34 +303,38 @@ SkewKernel::compileSlots()
         released.pop_back();
         return r;
     };
-    slot[0] = take();
+    slot[0] = take(); // the root's row, never released
     slotFrom.resize(n - 1);
     slotTo.resize(n - 1);
-    for (NodeId v = 1; static_cast<std::size_t>(v) < n; ++v) {
-        const NodeId p = parentOf[v];
-        if (lastChild[p] == v && !pinned[p])
-            released.push_back(slot[p]);
-        slot[v] = take();
-        if (lastChild[v] == invalidId && !pinned[v])
-            released.push_back(slot[v]);
-        slotFrom[v - 1] = slot[p];
-        slotTo[v - 1] = slot[v];
+    std::uint32_t p0 = 0;
+    for (NodeId c = 0; c < chunks; ++c) {
+        const NodeId end = std::min(static_cast<NodeId>(n), (c + 1) * C);
+        for (NodeId v = std::max(1, c * C); v < end; ++v) {
+            const NodeId p = parentOf[v];
+            if (lastChild[p] == v && p != 0 && lastFold[p] < c)
+                released.push_back(slot[p]);
+            slot[v] = take();
+            if (lastChild[v] == invalidId && lastFold[v] < 0)
+                released.push_back(slot[v]);
+            slotFrom[v - 1] = slot[p];
+            slotTo[v - 1] = slot[v];
+        }
+        // Rows whose last fold is this chunk's and whose last child has
+        // been written; lastFold = -1 marks a row released.
+        for (; p0 < chunkPairEnd[c]; ++p0) {
+            for (const NodeId x : {pairSlotA[p0], pairSlotB[p0]}) {
+                if (x != 0 && lastFold[x] == c &&
+                    (lastChild[x] == invalidId || lastChild[x] / C <= c)) {
+                    released.push_back(slot[x]);
+                    lastFold[x] = -1;
+                }
+            }
+        }
     }
     slotRows = static_cast<std::size_t>(rows);
-
-    const std::size_t npairs = foldNodeA.size();
-    std::vector<std::pair<std::int32_t, std::int32_t>> slotPairs(npairs);
-    for (std::size_t i = 0; i < npairs; ++i) {
-        const std::int32_t a = slot[foldNodeA[i]];
-        const std::int32_t b = slot[foldNodeB[i]];
-        slotPairs[i] = {std::min(a, b), std::max(a, b)};
-    }
-    std::sort(slotPairs.begin(), slotPairs.end());
-    foldSlotA.resize(npairs);
-    foldSlotB.resize(npairs);
-    for (std::size_t i = 0; i < npairs; ++i) {
-        foldSlotA[i] = slotPairs[i].first;
-        foldSlotB[i] = slotPairs[i].second;
+    for (std::size_t k = 0; k < npairs; ++k) {
+        pairSlotA[k] = slot[pairSlotA[k]];
+        pairSlotB[k] = slot[pairSlotB[k]];
     }
 }
 
@@ -405,9 +422,9 @@ SkewKernel::maxCommSkewBlock(std::span<const Time> lane_arrival,
     const Time *arr = lane_arrival.data();
     for (std::size_t i = 0; i < pairs; ++i) {
         const Time *ra =
-            arr + static_cast<std::size_t>(foldNodeA[i]) * stride;
+            arr + static_cast<std::size_t>(pairNodeA[i]) * stride;
         const Time *rb =
-            arr + static_cast<std::size_t>(foldNodeB[i]) * stride;
+            arr + static_cast<std::size_t>(pairNodeB[i]) * stride;
         for (std::size_t j = 0; j < width; ++j)
             worst[j] = std::max(worst[j], std::fabs(ra[j] - rb[j]));
     }
@@ -478,29 +495,41 @@ SkewKernel::sampleMaxCommSkewRange(const WireDelay &delay,
     const std::uintptr_t addr =
         reinterpret_cast<std::uintptr_t>(scratch.data());
     Time *rows = scratch.data() + (64 - addr % 64) % 64 / sizeof(Time);
-    const LaneSteps steps{slotFrom.data(), slotTo.data(),
-                          wireLen.data() + 1, nodeCount() - 1};
-    const std::size_t pairs = foldSlotA.size();
     std::fill(rows, rows + W, 0.0); // the root's row, never overwritten
+    const std::size_t steps = nodeCount() - 1;
     std::array<Rng, W> lanes;
     std::uint64_t draws = 0;
     for (std::size_t i = 0; i < out.size(); i += W) {
         const std::size_t w = std::min(W, out.size() - i);
         for (std::size_t j = 0; j < w; ++j)
             lanes[j] = Rng::forTrial(seed, first_trial + i + j);
-        Rng::propagateUniformLanes({lanes.data(), w}, delay.lo(),
-                                   delay.hi(), steps, rows, W, isa);
-        // Lanes past w hold stale rows; their maxima are dropped.
-        Time worst[W];
-        foldRows(isa, rows, foldSlotA.data(), foldSlotB.data(), pairs,
-                 worst);
+        // Chunk c's steps write nodes [c, c + 1) * foldChunkNodes, the
+        // root excepted; its fold reads rows that chunk or an earlier
+        // one wrote and that no step has reused yet. Lanes past w hold
+        // stale rows; their maxima are dropped.
+        Time worst[W] = {};
+        std::size_t k0 = 0;
+        std::uint32_t p0 = 0;
+        for (std::size_t c = 0; c < chunkPairEnd.size(); ++c) {
+            const std::size_t k1 =
+                std::min((c + 1) * foldChunkNodes - 1, steps);
+            const std::uint32_t p1 = chunkPairEnd[c];
+            const LaneSteps chunk{slotFrom.data() + k0, slotTo.data() + k0,
+                                  wireLen.data() + 1 + k0, k1 - k0};
+            Rng::propagateUniformLanes({lanes.data(), w}, delay.lo(),
+                                       delay.hi(), chunk, rows, W, isa);
+            foldRows(isa, rows, pairSlotA.data() + p0,
+                     pairSlotB.data() + p0, p1 - p0, worst);
+            k0 = k1;
+            p0 = p1;
+        }
         for (std::size_t j = 0; j < w; ++j) {
             out[i + j] = worst[j];
             draws += lanes[j].draws();
         }
     }
     batches.fetch_add(out.size(), std::memory_order_relaxed);
-    served.fetch_add(pairs * out.size(), std::memory_order_relaxed);
+    served.fetch_add(pairCount() * out.size(), std::memory_order_relaxed);
     return draws;
 }
 
@@ -580,6 +609,8 @@ SkewKernel::exportMetrics(obs::MetricsRegistry &reg,
         .set(static_cast<double>(nodeCount()));
     reg.gauge(prefix + "pairs")
         .set(static_cast<double>(pairCount()));
+    reg.gauge(prefix + "compact_rows")
+        .set(static_cast<double>(compactRows()));
     reg.gauge(prefix + "build_ms").set(buildMs);
     reg.gauge(prefix + "queries_served")
         .set(static_cast<double>(queriesServed()));

@@ -21,9 +21,12 @@
  *    ids and cell ids), in layout::Layout::comm() undirectedEdges()
  *    order -- the order every pre-kernel surface used, so results are
  *    bit-identical to the pointer-chasing paths they replace -- plus
- *    endpoint-sorted copies used only by the pair folds: the fold is a
- *    max of |differences| (exact under any order), so sorting for
- *    gather locality cannot change a single bit.
+ *    endpoint-sorted cell copies used only by the cell-arrival fold:
+ *    the fold is a max of |differences| (exact under any order), so
+ *    sorting for gather locality cannot change a single bit,
+ *  - the range entry point's frontier schedule: which compact scratch
+ *    row each propagation step writes, and which row pairs each chunk
+ *    of steps folds.
  *
  * The batch entry points are allocation-free: arrivals() propagates a
  * sampled per-wire delay realisation down the tree into a caller-owned
@@ -40,8 +43,10 @@
  * to the scalar path at every width and on every ISA.
  * sampleMaxCommSkewRange() is the one trial loop: every Monte-Carlo
  * skew sweep, local or served, runs its trials through it, a fixed
- * blockWidth() = 8 lanes at a time over a compact scratch whose rows
- * are recycled through a slot map built at compile time.
+ * blockWidth() = 8 lanes at a time. It folds each pair as soon as the
+ * chunk of steps writing its later endpoint has run, so its scratch
+ * holds only the frontier between written and unwritten nodes -- the
+ * bisection-sized cut of the paper's Lemma 4 -- not a row per cell.
  * A kernel is immutable after construction and safe to share read-only
  * across threads; the query counters are relaxed atomics.
  */
@@ -235,14 +240,16 @@ class SkewKernel
      * first_trial + out.size()) of the scenario, trial i sampled on
      * Rng::forTrial(seed, i), blockWidth() lanes at a time with a
      * narrower remainder block; out[k] receives trial first_trial + k's
-     * max comm skew. Each block runs one fused Rng::propagateUniformLanes
-     * pass on @p isa over the compact scratch (compactRows() rows of
-     * blockWidth() lanes, rows recycled by the slot map) and one fold
-     * over the pinned endpoint rows. Every ISA and block split is
-     * bit-identical to the scalar sampleMaxCommSkew(), so results do
-     * not depend on how a sweep splits its trials into ranges or on
-     * the host. @p scratch is reusable across calls on the same
-     * thread. Returns the RNG draws consumed.
+     * max comm skew. A block runs the propagation in chunks of
+     * foldChunkNodes nodes, one fused Rng::propagateUniformLanes pass
+     * on @p isa each, and after each chunk folds the pairs whose later
+     * endpoint that chunk wrote, keeping the running maxima across
+     * chunks. Its scratch is compactRows() rows of blockWidth() lanes.
+     * Every ISA and block split is bit-identical to the scalar
+     * sampleMaxCommSkew(), so results do not depend on how a sweep
+     * splits its trials into ranges or on the host. @p scratch is
+     * reusable across calls on the same thread, and across kernels.
+     * Returns the RNG draws consumed.
      */
     std::uint64_t sampleMaxCommSkewRange(const WireDelay &delay,
                                          std::uint64_t seed,
@@ -267,13 +274,17 @@ class SkewKernel
     static constexpr std::size_t blockWidth() { return 8; }
 
     /**
+     * Nodes per chunk of sampleMaxCommSkewRange()'s propagation, and so
+     * per pair fold. 256 to 4,096 ran within noise of each other at
+     * 32x32 and 256x256; 1,024 keeps 725 rows (46 KB) live at 256x256.
+     */
+    static constexpr std::size_t foldChunkNodes = 1024;
+
+    /**
      * Rows of sampleMaxCommSkewRange()'s compact lane scratch: the
-     * most node rows its slot map keeps live at once. The root and the
-     * fold endpoints keep their row for the whole pass; every other
-     * node's row is recycled once its last child (in id order) has
-     * read it. For the DFS pre-order H-tree builds that is cells + 1
-     * rows against nodeCount() = 3 cells - 1. 0 for a pairs-only
-     * kernel.
+     * peak number of node rows its frontier schedule keeps live (725
+     * at 256x256 on the H-tree builds, against 196,607 nodes). 0 for a
+     * pairs-only kernel.
      */
     std::size_t compactRows() const { return slotRows; }
 
@@ -296,9 +307,10 @@ class SkewKernel
 
     /**
      * Export kernel stats as gauges under @p prefix: nodes, pairs,
-     * build_ms, queries_served, arrival_batches. build_ms is wall
-     * clock and therefore not bit-stable across runs; tests asserting
-     * registry bit-identity should compare the other gauges.
+     * compact_rows, build_ms, queries_served, arrival_batches.
+     * build_ms is wall clock and therefore not bit-stable across runs;
+     * tests asserting registry bit-identity should compare the other
+     * gauges.
      */
     void exportMetrics(obs::MetricsRegistry &reg,
                        const std::string &prefix = "core.skew_kernel.")
@@ -308,7 +320,7 @@ class SkewKernel
     void compilePairs(const layout::Layout &l,
                       const clocktree::ClockTree *t);
     void compileTree(const clocktree::ClockTree &t);
-    void compileSlots();
+    void compileSchedule();
 
     std::size_t cells = 0;
 
@@ -330,18 +342,19 @@ class SkewKernel
     std::vector<NodeId> pairNodeA, pairNodeB;
     std::vector<CellId> pairCellA, pairCellB;
 
-    // Endpoint-sorted copies (canonical a <= b, sorted by (a, b)) used
-    // only by the max/count folds, where order cannot change a bit but
-    // sorted gathers walk the arrival surface near-monotonically.
-    std::vector<NodeId> foldNodeA, foldNodeB;
+    // Endpoint-sorted cell copies (canonical a <= b, sorted by (a, b))
+    // used only by arrivalSkewBlock(), where order cannot change a bit
+    // but sorted gathers walk the arrival surface near-monotonically.
     std::vector<CellId> foldCellA, foldCellB;
 
-    // Compact-scratch slot map (tree kernels): step v - 1 of the range
-    // entry point's propagation writes row slotTo[v - 1] from row
-    // slotFrom[v - 1]; the fold reads pinned rows foldSlotA/B, sorted
-    // like the fold copies above. The root's row is row 0, pinned.
+    // Frontier schedule (tree kernels): step v - 1 of the range entry
+    // point's propagation writes node v into row slotTo[v - 1] from
+    // row slotFrom[v - 1]; after chunk c's steps it folds the row pairs
+    // [chunkPairEnd[c - 1], chunkPairEnd[c]) of pairSlotA/B. The
+    // root's row is row 0, never released.
     std::vector<std::int32_t> slotFrom, slotTo;
-    std::vector<std::int32_t> foldSlotA, foldSlotB;
+    std::vector<std::int32_t> pairSlotA, pairSlotB;
+    std::vector<std::uint32_t> chunkPairEnd;
     std::size_t slotRows = 0;
 
     double buildMs = 0.0;

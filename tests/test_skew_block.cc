@@ -10,11 +10,14 @@
  * stride-padding case) and wider than one 8-lane group -- on the
  * htree, spine and TRIX-grid scenarios, through remainder blocks
  * (trials % W != 0) and through the blocked SweepService at 1/2/8
- * threads. The range entry point's compact scratch is checked on
+ * threads. The range entry point's frontier schedule is checked on
  * every ISA the host can run, on DFS-ordered H-trees, spines and
- * random (not DFS-ordered) trees.
+ * random (not DFS-ordered) trees of several fold chunks, and with a
+ * scratch carried from one kernel to another.
  */
 
+#include <algorithm>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -170,27 +173,36 @@ TEST(SkewBlock, BlockWidthIsFixedAtEight)
     EXPECT_EQ(SkewKernel(l).blockWidth(), 8u);
 }
 
-TEST(SkewBlock, SlotMapNeedsCellsPlusOneRowsOnHTrees)
+TEST(SkewBlock, FrontierRowsStayNearTheBisectionOnHTrees)
 {
-    // The H-tree builders number nodes in DFS pre-order: only the
-    // pinned cell taps plus one open path are ever live.
-    for (const int side : {8, 16, 32, 64}) {
+    // The H-tree builders number nodes in DFS pre-order, so the rows a
+    // chunk's fold still needs are the cut between written and
+    // unwritten cells -- O(side), the bisection of Lemma 4 -- plus at
+    // most one chunk's own rows, however many cells the mesh has.
+    for (const int side : {8, 16, 32, 64, 128, 256}) {
         const layout::Layout l = layout::meshLayout(side, side);
         const SkewKernel kernel(l, clocktree::buildHTreeGrid(l, side, side));
         EXPECT_EQ(kernel.nodeCount(), 3 * l.size() - 1) << side;
-        EXPECT_EQ(kernel.compactRows(), l.size() + 1) << side;
+        EXPECT_LE(kernel.compactRows(),
+                  2 * static_cast<std::size_t>(side) +
+                      SkewKernel::foldChunkNodes)
+            << side;
+        if (side == 256) {
+            EXPECT_LT(kernel.compactRows(), l.size() / 50);
+        }
     }
     EXPECT_EQ(SkewKernel(layout::meshLayout(4, 4)).compactRows(), 0u);
 }
 
 /** sampleMaxCommSkewRange on @p isa against the scalar sampler, trial
- *  by trial, including the returned draw count. */
+ *  by trial, including the returned draw count; the range runs on
+ *  @p scratch as left by any earlier call. */
 void
 expectRangeMatchesScalar(const SkewKernel &kernel, RngIsa isa,
                          std::uint64_t seed, std::uint64_t first,
-                         std::size_t n)
+                         std::size_t n, std::vector<Time> &scratch)
 {
-    std::vector<Time> out(n, -1.0), scratch, scalar_scratch;
+    std::vector<Time> out(n, -1.0), scalar_scratch;
     const std::uint64_t draws = kernel.sampleMaxCommSkewRange(
         kDelay, seed, first, out, scratch, isa);
     std::uint64_t want_draws = 0;
@@ -204,11 +216,20 @@ expectRangeMatchesScalar(const SkewKernel &kernel, RngIsa isa,
     EXPECT_EQ(draws, want_draws) << rngIsaName(isa);
 }
 
+void
+expectRangeMatchesScalar(const SkewKernel &kernel, RngIsa isa,
+                         std::uint64_t seed, std::uint64_t first,
+                         std::size_t n)
+{
+    std::vector<Time> scratch;
+    expectRangeMatchesScalar(kernel, isa, seed, first, n, scratch);
+}
+
 TEST(SkewBlock, RangeMatchesScalarOnEveryIsaAndTreeShape)
 {
     const auto isas = testutil::supportedRngIsas();
-    // Random trees: ids topological but not DFS pre-order, so the slot
-    // map recycles rows out of pre-order.
+    // Random trees: ids topological but not DFS pre-order, so the
+    // schedule recycles rows out of pre-order.
     const layout::Layout pair = layout::linearLayout(2);
     for (std::uint64_t shape = 0; shape < 12; ++shape) {
         Rng rng = Rng::forTrial(0x7ee5, shape);
@@ -218,11 +239,120 @@ TEST(SkewBlock, RangeMatchesScalarOnEveryIsaAndTreeShape)
         for (const RngIsa isa : isas)
             expectRangeMatchesScalar(kernel, isa, 0x5a + shape, 3, 19);
     }
-    // A spine pins every node but the root; an H-tree is the DFS case.
+    // A spine clocks cells on internal nodes; an H-tree is the DFS case.
     for (const auto &[l, tree] : treeScenarios()) {
         const SkewKernel kernel(l, tree);
         for (const RngIsa isa : isas)
             expectRangeMatchesScalar(kernel, isa, 0x5b, 11, 21);
+    }
+}
+
+/** The fold chunk that writes node @p v. */
+std::size_t
+foldChunk(NodeId v)
+{
+    return static_cast<std::size_t>(v) / SkewKernel::foldChunkNodes;
+}
+
+/** Every supported ISA, with remainder blocks of 1..7 lanes behind a
+ *  full block. */
+void
+expectRangeMatchesScalarOnEveryIsa(const SkewKernel &kernel,
+                                   std::uint64_t seed)
+{
+    for (const RngIsa isa : testutil::supportedRngIsas()) {
+        for (std::size_t rem = 1; rem < SkewKernel::blockWidth(); ++rem)
+            expectRangeMatchesScalar(kernel, isa, seed, 2 * rem,
+                                     SkewKernel::blockWidth() + rem);
+    }
+}
+
+TEST(SkewBlock, RangeMatchesScalarAcrossFoldChunks)
+{
+    // Random trees of three or four fold chunks. Each clocks an 8x8
+    // mesh's cells on random nodes, internal ones included (as
+    // buildSpine binds them), so pairs fall inside one chunk and
+    // across chunks, and rows go to a last child in place as well as
+    // wait for a chunk's fold.
+    constexpr std::size_t C = SkewKernel::foldChunkNodes;
+    const layout::Layout mesh = layout::meshLayout(8, 8);
+    const layout::Layout pair = layout::linearLayout(2);
+    std::size_t inside = 0, straddling = 0, foldAtLastChild = 0;
+    for (std::uint64_t shape = 0; shape < 4; ++shape) {
+        Rng rng = Rng::forTrial(0xc4a2, shape);
+        const std::size_t n = 2 * C + 1 + rng.uniformInt(2 * C - 1);
+        const clocktree::ClockTree bare = testutil::randomShape(n, rng);
+        ASSERT_GE(foldChunk(static_cast<NodeId>(n - 1)), 2u);
+        std::vector<NodeId> lastChild(n, invalidId);
+        for (NodeId v = 1; static_cast<std::size_t>(v) < n; ++v)
+            lastChild[bare.structure().parent(v)] = v;
+
+        clocktree::ClockTree spread = bare;
+        std::vector<NodeId> free(n);
+        std::iota(free.begin(), free.end(), 0);
+        for (CellId c = 0; static_cast<std::size_t>(c) < mesh.size();
+             ++c) {
+            const std::size_t pick = rng.uniformInt(free.size());
+            spread.bindCell(free[pick], c);
+            free[pick] = free.back();
+            free.pop_back();
+        }
+        const SkewKernel kernel(mesh, spread);
+        // 1 + the chunk folding a node's last pair; 0 for no pair.
+        std::vector<std::size_t> lastFold(n, 0);
+        for (std::size_t i = 0; i < kernel.pairCount(); ++i) {
+            const NodeId a = kernel.pairNodesA()[i];
+            const NodeId b = kernel.pairNodesB()[i];
+            const std::size_t c = foldChunk(std::max(a, b));
+            (foldChunk(std::min(a, b)) == c ? inside : straddling) += 1;
+            lastFold[a] = std::max(lastFold[a], c + 1);
+            lastFold[b] = std::max(lastFold[b], c + 1);
+        }
+        for (std::size_t v = 0; v < n; ++v) {
+            foldAtLastChild += lastChild[v] != invalidId &&
+                               lastFold[v] == foldChunk(lastChild[v]) + 1;
+        }
+        expectRangeMatchesScalarOnEveryIsa(kernel, 0x61 + shape);
+
+        // One pair on an internal node p whose last child v lands in a
+        // later chunk: the fold of (p, q) must read p's row, not v's,
+        // whether q falls in v's chunk or after it.
+        NodeId p = 1;
+        while (static_cast<std::size_t>(p) < n &&
+               (lastChild[p] == invalidId ||
+                foldChunk(lastChild[p]) == foldChunk(p) ||
+                foldChunk(lastChild[p]) + 1 >
+                    foldChunk(static_cast<NodeId>(n - 1))))
+            ++p;
+        ASSERT_LT(static_cast<std::size_t>(p), n) << "shape " << shape;
+        const std::size_t vc = foldChunk(lastChild[p]);
+        for (const NodeId q :
+             {static_cast<NodeId>((vc + 1) * C - 1),
+              static_cast<NodeId>(n - 1)}) {
+            clocktree::ClockTree probe = bare;
+            probe.bindCell(p, 0);
+            probe.bindCell(q, 1);
+            expectRangeMatchesScalarOnEveryIsa(SkewKernel(pair, probe),
+                                               0x71 + shape);
+        }
+    }
+    EXPECT_GT(inside, 0u);
+    EXPECT_GT(straddling, 0u);
+    EXPECT_GT(foldAtLastChild, 0u);
+}
+
+TEST(SkewBlock, RangeScratchCarriesFromLargeKernelToSmall)
+{
+    // A worker's scratch outlives the kernel: a 32x32 range after a
+    // 256x256 one starts from the larger kernel's stale rows.
+    const layout::Layout big = layout::meshLayout(256, 256);
+    const SkewKernel large(big, clocktree::buildHTreeGrid(big, 256, 256));
+    const layout::Layout l = layout::meshLayout(32, 32);
+    const SkewKernel small(l, clocktree::buildHTreeGrid(l, 32, 32));
+    for (const RngIsa isa : testutil::supportedRngIsas()) {
+        std::vector<Time> scratch;
+        expectRangeMatchesScalar(large, isa, 0x256, 7, 9, scratch);
+        expectRangeMatchesScalar(small, isa, 0x32, 5, 13, scratch);
     }
 }
 

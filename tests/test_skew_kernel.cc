@@ -211,6 +211,9 @@ TEST(SkewKernel, ExportsStatsThroughMetricsRegistry)
               static_cast<double>(kernel.nodeCount()));
     EXPECT_EQ(reg.gauge("core.skew_kernel.pairs").value(),
               static_cast<double>(kernel.pairCount()));
+    EXPECT_EQ(reg.gauge("core.skew_kernel.compact_rows").value(),
+              static_cast<double>(kernel.compactRows()));
+    EXPECT_GT(kernel.compactRows(), 0u);
     EXPECT_GE(reg.gauge("core.skew_kernel.build_ms").value(), 0.0);
     EXPECT_EQ(reg.gauge("core.skew_kernel.queries_served").value(),
               static_cast<double>(kernel.pairCount()));

@@ -99,13 +99,12 @@ expectMatchesGolden(const std::string &path, const std::string &got,
         << "sample bits diverged from the golden digests in " << path;
 }
 
-/** A random binary tree: node v's parent is drawn uniformly from the
- *  nodes that still have a free child slot, so shapes range from paths
- *  to balanced trees and ids are topological but not DFS pre-order.
- *  Cells 0 and 1 are bound to the root and the last node to satisfy
- *  A4 (pair it with layout::linearLayout(2)). */
+/** A random binary tree with no cell bound: node v's parent is drawn
+ *  uniformly from the nodes that still have a free child slot, so
+ *  shapes range from paths to balanced trees and ids are topological
+ *  but not DFS pre-order. */
 inline clocktree::ClockTree
-randomTree(std::size_t n, Rng &rng)
+randomShape(std::size_t n, Rng &rng)
 {
     clocktree::ClockTree t;
     t.addRoot({0.0, 0.0});
@@ -122,6 +121,15 @@ randomTree(std::size_t n, Rng &rng)
         }
         open.push_back(static_cast<NodeId>(v));
     }
+    return t;
+}
+
+/** randomShape() with cells 0 and 1 bound to the root and the last
+ *  node to satisfy A4 (pair it with layout::linearLayout(2)). */
+inline clocktree::ClockTree
+randomTree(std::size_t n, Rng &rng)
+{
+    clocktree::ClockTree t = randomShape(n, rng);
     t.bindCell(0, 0);
     t.bindCell(static_cast<NodeId>(n - 1), 1);
     return t;
