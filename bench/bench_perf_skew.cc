@@ -9,9 +9,10 @@
  * before it:
  *
  *  - per-query: s(a, b) over every communicating pair via the naive
- *    parent-climb nca (ClockTree::treeDistance) versus the kernel's
- *    Euler-tour sparse table (SkewKernel::treeDistance), with a
- *    results-equal check;
+ *    nca (ClockTree::treeDistance, which climbs both nodes to equal
+ *    depth and on to their common ancestor) versus the kernel's
+ *    id-order climb over the tree path alone
+ *    (SkewKernel::treeDistance), with a results-equal check;
  *  - per-sweep: 64 serial Monte-Carlo chips via the retained naive
  *    path (core::sampleSkewInstance, which re-resolves the scenario
  *    per chip) versus one SkewKernel compile plus
@@ -118,7 +119,7 @@ main(int argc, char **argv)
     json.keyValue("layout", "mesh32x32")
         .keyValue("reps_per_point", reps);
 
-    // --- Per-query: naive parent-climb nca vs O(1) sparse table. ----
+    // --- Per-query: naive depth climb vs the kernel's id-order climb.
     const std::size_t pairs = kernel.pairCount();
     const auto &pa = kernel.pairNodesA();
     const auto &pb = kernel.pairNodesB();
@@ -141,9 +142,9 @@ main(int argc, char **argv)
     bench::headline("per-query: s(a, b) over all communicating pairs");
     Table queryTable("treeDistance over comm pairs (32x32 H-tree)",
                      {"path", "best ms", "speedup", "sum s"});
-    queryTable.addRow({"naive parent-climb", Table::num(query_naive_ms),
+    queryTable.addRow({"naive depth climb", Table::num(query_naive_ms),
                        "1.00", Table::num(naive_sum)});
-    queryTable.addRow({"kernel O(1) nca", Table::num(query_kernel_ms),
+    queryTable.addRow({"kernel id-order climb", Table::num(query_kernel_ms),
                        Table::num(query_speedup),
                        Table::num(kernel_sum)});
     emitTable(queryTable, opts);

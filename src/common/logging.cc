@@ -65,22 +65,6 @@ emitLine(LogLevel level, const char *prefix, const std::string &msg,
 
 } // namespace
 
-const char *
-logLevelName(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::Debug:
-        return "debug";
-      case LogLevel::Info:
-        return "info";
-      case LogLevel::Warn:
-        return "warn";
-      case LogLevel::Error:
-        return "error";
-    }
-    return "?";
-}
-
 LogLevel
 parseLogLevel(const char *s, LogLevel fallback)
 {

@@ -36,9 +36,6 @@ enum class LogLevel
     Error = 3,
 };
 
-/** Human-readable level name ("debug", "info", "warn", "error"). */
-const char *logLevelName(LogLevel level);
-
 /**
  * Parse @p s as a level: a name (case-insensitive) or a digit 0-3.
  * Returns @p fallback when @p s is null or unrecognised.

@@ -100,39 +100,6 @@ SampleSet::quantile(double q) const
     return samples[lo_idx] * (1.0 - frac) + samples[hi_idx] * frac;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo(lo), hi(hi), counts(bins, 0)
-{
-    VSYNC_ASSERT(bins > 0, "histogram needs at least one bin");
-    VSYNC_ASSERT(hi > lo, "histogram range [%g, %g) is empty", lo, hi);
-}
-
-void
-Histogram::add(double x)
-{
-    ++n;
-    if (x < lo) {
-        ++under;
-        return;
-    }
-    if (x >= hi) {
-        ++over;
-        return;
-    }
-    const double width = (hi - lo) / static_cast<double>(counts.size());
-    auto idx = static_cast<std::size_t>((x - lo) / width);
-    if (idx >= counts.size())
-        idx = counts.size() - 1; // guard against FP edge rounding
-    ++counts[idx];
-}
-
-double
-Histogram::binCenter(std::size_t i) const
-{
-    const double width = (hi - lo) / static_cast<double>(counts.size());
-    return lo + (static_cast<double>(i) + 0.5) * width;
-}
-
 double
 normalCdf(double x)
 {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Streaming statistics, histograms and percentiles.
+ * Streaming statistics and percentiles.
  */
 
 #ifndef VSYNC_COMMON_STATS_HH
@@ -97,47 +97,6 @@ class SampleSet
     mutable std::vector<double> samples;
     mutable bool sorted = false;
     RunningStat running;
-};
-
-/** Fixed-width histogram over [lo, hi) with overflow/underflow bins. */
-class Histogram
-{
-  public:
-    /**
-     * @param lo inclusive lower edge of the first bin.
-     * @param hi exclusive upper edge of the last bin.
-     * @param bins number of bins. @pre bins > 0 and hi > lo.
-     */
-    Histogram(double lo, double hi, std::size_t bins);
-
-    /** Add one observation. */
-    void add(double x);
-
-    /** Count in bin @p i. */
-    std::size_t binCount(std::size_t i) const { return counts.at(i); }
-
-    /** Center value of bin @p i. */
-    double binCenter(std::size_t i) const;
-
-    /** Number of bins. */
-    std::size_t binCount() const { return counts.size(); }
-
-    /** Observations below the histogram range. */
-    std::size_t underflow() const { return under; }
-
-    /** Observations at or above the histogram range. */
-    std::size_t overflow() const { return over; }
-
-    /** Total observations including under/overflow. */
-    std::size_t total() const { return n; }
-
-  private:
-    double lo;
-    double hi;
-    std::vector<std::size_t> counts;
-    std::size_t under = 0;
-    std::size_t over = 0;
-    std::size_t n = 0;
 };
 
 /**

@@ -10,7 +10,8 @@
  * use to confirm the model's sandwich eps*s <= sigma <= (m+eps)*s.
  *
  * All pair evaluation is backed by core::SkewKernel (one flat compile
- * of the scenario, O(1) NCA per pair); the raw-pair surface that
+ * of the scenario; each pair's NCA climbs only the tree path between
+ * its two nodes); the raw-pair surface that
  * predated the kernel (commNodePairs / free sampleMaxCommSkew) shipped
  * as deprecated shims for one release and is now gone.
  * sampleSkewInstance is retained as the naive per-chip reference path:

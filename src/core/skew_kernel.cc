@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <utility>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -137,25 +136,6 @@ SkewKernel::compilePairs(const layout::Layout &l,
             pairNodeB.push_back(nb);
         }
     }
-
-    // Cell-fold sorted copies for arrivalSkewBlock(). The public
-    // arrays above keep undirectedEdges() order (SkewReport/SkewInstance
-    // depend on it); the fold is a max/count reduction, exact under any
-    // order, so it gets endpoint-sorted copies whose gathers walk the
-    // arrival surface near-monotonically instead of in layout order.
-    const std::size_t npairs = pairCellA.size();
-    std::vector<std::pair<CellId, CellId>> cellPairs(npairs);
-    for (std::size_t i = 0; i < npairs; ++i) {
-        cellPairs[i] = {std::min(pairCellA[i], pairCellB[i]),
-                        std::max(pairCellA[i], pairCellB[i])};
-    }
-    std::sort(cellPairs.begin(), cellPairs.end());
-    foldCellA.resize(npairs);
-    foldCellB.resize(npairs);
-    for (std::size_t i = 0; i < npairs; ++i) {
-        foldCellA[i] = cellPairs[i].first;
-        foldCellB[i] = cellPairs[i].second;
-    }
 }
 
 void
@@ -182,67 +162,6 @@ SkewKernel::compileTree(const clocktree::ClockTree &t)
         parentOf[v] = p;
         wireLen[v] = t.wireLength(v);
         h[v] = h[p] + wireLen[v];
-    }
-
-    // Euler tour: every node is recorded on entry and again after each
-    // child subtree returns, giving 2n - 1 tour positions; nca(a, b) is
-    // the minimum-depth position between the first occurrences of a
-    // and b.
-    std::vector<std::int32_t> depth(n, 0);
-    for (NodeId v = 1; static_cast<std::size_t>(v) < n; ++v)
-        depth[v] = depth[parentOf[v]] + 1;
-
-    eulerNode.reserve(2 * n - 1);
-    eulerDepth.reserve(2 * n - 1);
-    firstSeen.assign(n, -1);
-    struct Frame
-    {
-        NodeId node;
-        std::size_t nextChild;
-    };
-    std::vector<Frame> stack;
-    stack.push_back({0, 0});
-    while (!stack.empty()) {
-        Frame &f = stack.back();
-        const auto &kids = structure.children(f.node);
-        // Each frame visit records once: on entry, then once more
-        // after every child subtree returns -- 2n - 1 records total.
-        eulerNode.push_back(f.node);
-        eulerDepth.push_back(depth[f.node]);
-        if (firstSeen[f.node] < 0) {
-            firstSeen[f.node] =
-                static_cast<std::int32_t>(eulerNode.size() - 1);
-        }
-        if (f.nextChild < kids.size()) {
-            const NodeId child = kids[f.nextChild];
-            ++f.nextChild;
-            stack.push_back({child, 0});
-        } else {
-            stack.pop_back();
-        }
-    }
-
-    // Sparse table over tour depths: sparse[k][i] is the tour position
-    // of the minimum depth in [i, i + 2^k).
-    const std::size_t m = eulerNode.size();
-    logTable.assign(m + 1, 0);
-    for (std::size_t i = 2; i <= m; ++i)
-        logTable[i] = logTable[i / 2] + 1;
-    const int levels = logTable[m] + 1;
-    sparse.assign(levels, {});
-    sparse[0].resize(m);
-    for (std::size_t i = 0; i < m; ++i)
-        sparse[0][i] = static_cast<std::int32_t>(i);
-    for (int k = 1; k < levels; ++k) {
-        const std::size_t half = std::size_t{1} << (k - 1);
-        const std::size_t len = std::size_t{1} << k;
-        sparse[k].resize(m + 1 - len);
-        for (std::size_t i = 0; i + len <= m; ++i) {
-            const std::int32_t left = sparse[k - 1][i];
-            const std::int32_t right = sparse[k - 1][i + half];
-            sparse[k][i] =
-                eulerDepth[left] <= eulerDepth[right] ? left : right;
-        }
     }
 }
 
@@ -347,16 +266,15 @@ SkewKernel::nca(NodeId a, NodeId b) const
                      static_cast<std::size_t>(b) < nodeCount(),
                  "nca of invalid nodes %d/%d", a, b);
     served.fetch_add(1, std::memory_order_relaxed);
-    std::int32_t lo = firstSeen[a];
-    std::int32_t hi = firstSeen[b];
-    if (lo > hi)
-        std::swap(lo, hi);
-    const std::int32_t len = hi - lo + 1;
-    const int k = logTable[len];
-    const std::int32_t left = sparse[k][lo];
-    const std::int32_t right = sparse[k][hi - (1 << k) + 1];
-    return eulerNode[eulerDepth[left] <= eulerDepth[right] ? left
-                                                           : right];
+    // compileTree() checked parent(v) < v, so the larger id is never
+    // an ancestor of the smaller: stepping it up walks the tree path.
+    while (a != b) {
+        if (a > b)
+            a = parentOf[a];
+        else
+            b = parentOf[b];
+    }
+    return a;
 }
 
 Length
@@ -571,9 +489,9 @@ SkewKernel::arrivalSkewBlock(std::span<const Time> lane_cell_arrival,
     const std::size_t pairs = pairCount();
     for (std::size_t i = 0; i < pairs; ++i) {
         const Time *ra =
-            arr + static_cast<std::size_t>(foldCellA[i]) * stride;
+            arr + static_cast<std::size_t>(pairCellA[i]) * stride;
         const Time *rb =
-            arr + static_cast<std::size_t>(foldCellB[i]) * stride;
+            arr + static_cast<std::size_t>(pairCellB[i]) * stride;
         for (std::size_t j = 0; j < width; ++j) {
             const Time ta = ra[j];
             const Time tb = rb[j];

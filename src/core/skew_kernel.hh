@@ -14,16 +14,14 @@
  *  - per-node parent index and wire length, in topological id order
  *    (ClockTree creates nodes parent-before-child; the build verifies
  *    parent(v) < v so a forward pass IS a topological traversal),
- *  - per-node root-path length h as a prefix array,
- *  - an Euler tour + sparse table answering nca() in O(1) per pair
- *    (the naive RootedTree::nca climbs parents, O(depth) per pair),
+ *  - per-node root-path length h as a prefix array; nca() climbs the
+ *    parent array by id order, so no other structure is kept for it,
  *  - the communicating pairs as four flat endpoint arrays (tree-node
  *    ids and cell ids), in layout::Layout::comm() undirectedEdges()
  *    order -- the order every pre-kernel surface used, so results are
- *    bit-identical to the pointer-chasing paths they replace -- plus
- *    endpoint-sorted cell copies used only by the cell-arrival fold:
- *    the fold is a max of |differences| (exact under any order), so
- *    sorting for gather locality cannot change a single bit,
+ *    bit-identical to the pointer-chasing paths they replace. Its cell
+ *    pairs are canonical (a < b) and sorted by (a, b), so the cell
+ *    fold's gathers already walk the arrival surface near-monotonically,
  *  - the range entry point's frontier schedule: which compact scratch
  *    row each propagation step writes, and which row pairs each chunk
  *    of steps folds.
@@ -141,9 +139,13 @@ class SkewKernel
     Length rootPathLength(NodeId v) const { return h[v]; }
 
     /**
-     * Nearest common ancestor in O(1) via the Euler-tour sparse table.
-     * Agrees with the naive parent-climb graph::RootedTree::nca on
-     * every pair (property-tested on randomized trees).
+     * Nearest common ancestor by an id-order climb: ids are
+     * topological (parent(v) < v), so stepping the larger of the two
+     * ids to its parent until they meet walks exactly the tree path
+     * between a and b. Costs that path's length in edges, with no
+     * arrays beyond the parent ids. Agrees with graph::RootedTree::nca
+     * on every pair (property-tested on randomized trees and on every
+     * comm pair of spine and H-tree meshes).
      */
     NodeId nca(NodeId a, NodeId b) const;
 
@@ -330,22 +332,11 @@ class SkewKernel
     std::vector<Length> h;       // root-path length prefix array
     std::vector<NodeId> nodeOf;  // indexed by CellId
 
-    // Euler-tour sparse-table NCA.
-    std::vector<std::int32_t> eulerNode;  // node at tour position
-    std::vector<std::int32_t> eulerDepth; // its depth
-    std::vector<std::int32_t> firstSeen;  // node -> first tour position
-    std::vector<std::int32_t> logTable;   // floor(log2(len))
-    std::vector<std::vector<std::int32_t>> sparse; // min-depth positions
-
     // Comm-pair endpoints, undirectedEdges() order -- the public,
     // order-contracted view (SkewReport edges, SkewInstance::edgeSkew).
+    // The cell pairs are canonical (a < b) and sorted by (a, b).
     std::vector<NodeId> pairNodeA, pairNodeB;
     std::vector<CellId> pairCellA, pairCellB;
-
-    // Endpoint-sorted cell copies (canonical a <= b, sorted by (a, b))
-    // used only by arrivalSkewBlock(), where order cannot change a bit
-    // but sorted gathers walk the arrival surface near-monotonically.
-    std::vector<CellId> foldCellA, foldCellB;
 
     // Frontier schedule (tree kernels): step v - 1 of the range entry
     // point's propagation writes node v into row slotTo[v - 1] from

@@ -71,20 +71,6 @@ latencyBoundsMs()
 
 } // namespace
 
-const char *
-workerStateName(WorkerState s)
-{
-    switch (s) {
-    case WorkerState::Disconnected:
-        return "disconnected";
-    case WorkerState::Alive:
-        return "alive";
-    case WorkerState::Dead:
-        return "dead";
-    }
-    panic("unreachable WorkerState");
-}
-
 struct WorkerPool::Worker
 {
     WorkerEndpoint ep;
@@ -94,7 +80,6 @@ struct WorkerPool::Worker
     Backoff backoff;
     unsigned consecutiveFailures = 0;
     std::atomic<WorkerState> state{WorkerState::Disconnected};
-    net::InfoReply info;
     obs::Histogram *latency = nullptr;
 };
 
@@ -159,13 +144,6 @@ WorkerPool::state(unsigned w) const
 {
     VSYNC_ASSERT(w < workers.size(), "worker index out of range");
     return workers[w].state.load(std::memory_order_relaxed);
-}
-
-const net::InfoReply &
-WorkerPool::lastInfo(unsigned w) const
-{
-    VSYNC_ASSERT(w < workers.size(), "worker index out of range");
-    return workers[w].info;
 }
 
 void
@@ -260,11 +238,6 @@ WorkerPool::connectOnce(unsigned w)
         closeWorker(wk);
         return false;
     }
-    wk.info.proto = rsp.proto;
-    wk.info.threads = rsp.threads;
-    wk.info.queueDepth = rsp.queueDepth;
-    wk.info.queueCapacity = rsp.queueCapacity;
-    wk.info.draining = rsp.draining;
     return true;
 }
 

@@ -60,9 +60,6 @@ enum class WorkerState
     Dead,
 };
 
-/** Human-readable state name. */
-const char *workerStateName(WorkerState s);
-
 /**
  * Response line-length cap. Responses legitimately dwarf request
  * lines (per-trial sample arrays), so this is bounded paranoia
@@ -162,9 +159,6 @@ class WorkerPool
 
     /** Current state of worker @p w. */
     WorkerState state(unsigned w) const;
-
-    /** The info reply from worker @p w's latest handshake. */
-    const net::InfoReply &lastInfo(unsigned w) const;
 
     /** Workers not Dead. */
     std::size_t aliveCount() const

@@ -25,14 +25,6 @@ Layout::place(CellId cell, const geom::Point &center)
 }
 
 void
-Layout::route(graph::EdgeId e, geom::Path path)
-{
-    VSYNC_ASSERT(e >= 0 && static_cast<std::size_t>(e) < routes.size(),
-                 "routing unknown edge %d", e);
-    routes[e] = std::move(path);
-}
-
-void
 Layout::routeRemaining()
 {
     for (std::size_t e = 0; e < routes.size(); ++e) {

@@ -37,9 +37,6 @@ class Layout
     /** Place cell @p cell at @p center. */
     void place(CellId cell, const geom::Point &center);
 
-    /** Route the directed edge @p e along @p path. */
-    void route(graph::EdgeId e, geom::Path path);
-
     /**
      * Route every still-unrouted edge with an L-shaped path between its
      * endpoint placements.

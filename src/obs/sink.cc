@@ -1,16 +1,7 @@
 #include "obs/sink.hh"
 
-#include <ostream>
-
 namespace vsync::obs
 {
-
-NullSink &
-nullSink()
-{
-    static NullSink sink;
-    return sink;
-}
 
 void
 CaptureSink::onMetricsJson(const std::string &json)
@@ -56,20 +47,6 @@ CaptureSink::clear()
     std::lock_guard<std::mutex> lock(mutex);
     metrics.clear();
     logs.clear();
-}
-
-void
-StreamSink::onMetricsJson(const std::string &json)
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    os << json << '\n';
-}
-
-void
-StreamSink::onLogLine(LogLevel level, const std::string &line)
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    os << logLevelName(level) << " | " << line << '\n';
 }
 
 void

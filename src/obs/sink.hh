@@ -5,19 +5,13 @@
  * A Sink is the pluggable back end for rendered observability records
  * -- metrics snapshots (MetricsRegistry::flush) and log lines
  * (common/logging routes through a sink when one is installed, see
- * attachLogSink). The default everywhere is the NullSink, which
- * discards everything, so building with observability compiled in
- * costs nothing until a real sink is attached:
- *
- *  - NullSink:    discards (the disabled configuration);
- *  - CaptureSink: buffers in memory (tests assert on what was emitted);
- *  - StreamSink:  writes to a std::ostream (files, stderr).
+ * attachLogSink; with none, log lines go to stderr). CaptureSink
+ * buffers in memory, so tests can assert on what was emitted.
  */
 
 #ifndef VSYNC_OBS_SINK_HH
 #define VSYNC_OBS_SINK_HH
 
-#include <iosfwd>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -40,17 +34,6 @@ class Sink
     /** One log line that passed the level filter. */
     virtual void onLogLine(LogLevel level, const std::string &line) = 0;
 };
-
-/** Discards everything: the disabled configuration. */
-class NullSink : public Sink
-{
-  public:
-    void onMetricsJson(const std::string &) override {}
-    void onLogLine(LogLevel, const std::string &) override {}
-};
-
-/** The shared process-wide NullSink instance. */
-NullSink &nullSink();
 
 /** Buffers everything in memory; tests assert on the buffers. */
 class CaptureSink : public Sink
@@ -75,20 +58,6 @@ class CaptureSink : public Sink
     mutable std::mutex mutex;
     std::vector<std::string> metrics;
     std::vector<std::pair<LogLevel, std::string>> logs;
-};
-
-/** Writes records to a stream (metrics as JSON, logs as lines). */
-class StreamSink : public Sink
-{
-  public:
-    explicit StreamSink(std::ostream &os) : os(os) {}
-
-    void onMetricsJson(const std::string &json) override;
-    void onLogLine(LogLevel level, const std::string &line) override;
-
-  private:
-    std::mutex mutex;
-    std::ostream &os;
 };
 
 /**

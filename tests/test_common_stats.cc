@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for streaming statistics, quantiles, histograms and the normal
- * quantile function.
+ * Tests for streaming statistics, quantiles and the normal quantile
+ * function.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 namespace
 {
 
-using vsync::Histogram;
 using vsync::RunningStat;
 using vsync::SampleSet;
 
@@ -96,20 +95,6 @@ TEST(SampleSet, QuantileAfterMoreSamples)
     EXPECT_DOUBLE_EQ(s.median(), 15.0);
     s.add(0.0);
     EXPECT_DOUBLE_EQ(s.median(), 10.0);
-}
-
-TEST(Histogram, BinningAndOverflow)
-{
-    Histogram h(0.0, 10.0, 10);
-    for (double x : {-1.0, 0.0, 0.5, 5.0, 9.99, 10.0, 42.0})
-        h.add(x);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.total(), 7u);
-    EXPECT_EQ(h.binCount(std::size_t{0}), 2u);
-    EXPECT_EQ(h.binCount(std::size_t{5}), 1u);
-    EXPECT_EQ(h.binCount(std::size_t{9}), 1u);
-    EXPECT_DOUBLE_EQ(h.binCenter(0), 0.5);
 }
 
 TEST(NormalCdf, KnownValues)

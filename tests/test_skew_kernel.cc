@@ -5,10 +5,11 @@
  * The kernel's contract is "same answers, flat state": every query
  * must agree bitwise with the pointer-chasing surface it replaced.
  * The NCA property test drives randomized tree shapes (seeded via
- * Rng::forTrial, so failures reproduce by trial index) against the
- * naive parent-climb; the sweep tests pin the Monte-Carlo bit-identity
- * guarantee at 1/2/8 threads. The lane-blocked entry points have their
- * own suite in test_skew_block.cc.
+ * Rng::forTrial, so failures reproduce by trial index) and every comm
+ * pair of a spine and an H-tree mesh against graph::RootedTree::nca;
+ * the sweep tests pin the Monte-Carlo bit-identity guarantee at 1/2/8
+ * threads. The lane-blocked entry points have their own suite in
+ * test_skew_block.cc.
  */
 
 #include <cmath>
@@ -56,6 +57,29 @@ TEST(SkewKernelNca, MatchesNaiveParentClimbOnRandomizedTrees)
                           t.pathDifference(a, b))
                     << "trial " << trial;
             }
+        }
+    }
+
+    // Long climbs: every comm pair of a spine mesh (vertical neighbours
+    // sit about 2 * cols hops apart) and of a 64x64 H-tree, whose
+    // 12,287 nodes dwarf the random trees above.
+    const layout::Layout spine = layout::meshLayout(16, 16);
+    const layout::Layout htree = layout::meshLayout(64, 64);
+    const std::pair<const layout::Layout *, clocktree::ClockTree>
+        scenarios[] = {
+            {&spine, clocktree::buildSpine(spine)},
+            {&htree, clocktree::buildHTreeGrid(htree, 64, 64)},
+        };
+    for (const auto &[mesh, t] : scenarios) {
+        const SkewKernel kernel(*mesh, t);
+        ASSERT_GT(kernel.pairCount(), 0u);
+        for (std::size_t i = 0; i < kernel.pairCount(); ++i) {
+            const NodeId a = kernel.pairNodesA()[i];
+            const NodeId b = kernel.pairNodesB()[i];
+            ASSERT_EQ(kernel.nca(a, b), t.structure().nca(a, b))
+                << t.size() << " nodes, pair " << i;
+            ASSERT_EQ(kernel.treeDistance(a, b), t.treeDistance(a, b))
+                << t.size() << " nodes, pair " << i;
         }
     }
 }
