@@ -18,12 +18,21 @@
  *  3. Determinism: one sweep point re-run at 1, 2 and 8 threads must
  *     produce bit-identical samples (the fault plans and the sweep
  *     both obey the Rng::forTrial contract).
+ *  4. Resilience block: per lane-kernel ISA the host can run, the
+ *     per-trial time of the sweep's lane pass
+ *     (ResilienceScenario::runTrialRange, eight trials per lane group)
+ *     against the one-trial oracle runTrial (FaultPlan::generate and
+ *     the scalar cellArrivals pass), for the H-tree and the TRIX grid
+ *     at rates 0 and 0.02: one thread, best of 7 interleaved runs.
+ *     Every lane-pass sample must equal runTrial's bit for bit.
  *
  * Results go to stdout as tables and to BENCH_fault_tolerance.json;
- * the exit code is nonzero if any masking, degradation or determinism
- * property fails.
+ * the exit code is nonzero if any masking, degradation, determinism or
+ * lane-pass identity property fails.
  */
 
+#include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 
@@ -126,6 +135,54 @@ exhaustiveGridPass(const layout::Layout &l, const mc::ResilienceConfig &rc)
             std::min(s.minClockedFraction, out.clockedFraction);
     }
     return s;
+}
+
+/** One resilience-block row: the lane pass against runTrial. */
+struct BlockTiming
+{
+    double laneUs = 0.0;   // per trial, best of the runs
+    double oracleUs = 0.0; // per trial, best of the runs
+    bool identical = true;
+};
+
+/**
+ * Time @p trials trials of @p s through runTrialRange on @p isa and
+ * through runTrial, alternating the two paths over @p runs runs, and
+ * check every lane-pass sample against runTrial's.
+ */
+BlockTiming
+timeResilienceBlock(const mc::ResilienceScenario &s, RngIsa isa,
+                    std::uint64_t seed, std::size_t trials, int runs)
+{
+    using Clock = std::chrono::steady_clock;
+    const auto perTrialUs = [&](Clock::time_point t0) {
+        return std::chrono::duration<double, std::micro>(Clock::now() - t0)
+                   .count() /
+               static_cast<double>(trials);
+    };
+    std::vector<double> skew(trials), clocked(trials), faults(trials);
+    std::vector<fault::DistributionOutcome> ref(trials);
+    std::vector<Time> scratch;
+    BlockTiming t{infinity, infinity, true};
+    for (int r = 0; r < runs; ++r) {
+        Clock::time_point t0 = Clock::now();
+        s.runTrialRange(seed, 0, skew, clocked, faults, nullptr, scratch,
+                        isa);
+        t.laneUs = std::min(t.laneUs, perTrialUs(t0));
+        t0 = Clock::now();
+        for (std::size_t i = 0; i < trials; ++i)
+            ref[i] = s.runTrial(seed, i);
+        t.oracleUs = std::min(t.oracleUs, perTrialUs(t0));
+    }
+    for (std::size_t i = 0; i < trials; ++i)
+        t.identical =
+            t.identical &&
+            std::bit_cast<std::uint64_t>(skew[i]) ==
+                std::bit_cast<std::uint64_t>(ref[i].maxCommSkew) &&
+            std::bit_cast<std::uint64_t>(clocked[i]) ==
+                std::bit_cast<std::uint64_t>(ref[i].clockedFraction) &&
+            faults[i] == static_cast<double>(ref[i].faultCount);
+    return t;
 }
 
 void
@@ -315,22 +372,71 @@ main(int argc, char **argv)
         }
     }
 
+    // --- 4. Resilience block: the lane pass against runTrial. -------
+    bench::headline(
+        "Resilience block: per-trial time of the sweep's 8-lane pass "
+        "vs the one-trial runTrial oracle, 1 thread, best of 7 "
+        "interleaved runs; samples must match bit for bit");
+    Table blockTable("resilience block (16x16 mesh, 256 trials/run)",
+                     {"isa", "distribution", "fault rate",
+                      "lane pass us/trial", "runTrial us/trial",
+                      "speedup", "bit-identical"});
+    bool laneIdentical = true;
+    json.key("resilience_block").beginArray();
+    for (const RngIsa isa :
+         {RngIsa::Scalar, RngIsa::Avx2, RngIsa::Avx512}) {
+        if (!rngIsaSupported(isa))
+            continue;
+        for (const mc::DistributionKind kind :
+             {mc::DistributionKind::HTree,
+              mc::DistributionKind::TrixGrid}) {
+            for (const double rate : {0.0, 0.02}) {
+                const mc::ResilienceScenario s =
+                    mc::compileResilienceScenario(l, rows, cols, kind, rate,
+                                                  rc, core::directCompile());
+                const BlockTiming t =
+                    timeResilienceBlock(s, isa, seed, 256, 7);
+                laneIdentical = laneIdentical && t.identical;
+                const std::string name = mc::distributionKindName(kind);
+                json.beginObject()
+                    .keyValue("isa", rngIsaName(isa))
+                    .keyValue("distribution", name)
+                    .keyValue("fault_rate", rate)
+                    .keyValue("lane_pass_us_per_trial", t.laneUs)
+                    .keyValue("run_trial_us_per_trial", t.oracleUs)
+                    .keyValue("speedup", t.oracleUs / t.laneUs)
+                    .keyValue("bit_identical", t.identical)
+                    .endObject();
+                blockTable.addRow({rngIsaName(isa), name, Table::num(rate),
+                                   Table::fixed(t.laneUs, 2),
+                                   Table::fixed(t.oracleUs, 2),
+                                   Table::fixed(t.oracleUs / t.laneUs, 2),
+                                   t.identical ? "yes" : "NO"});
+            }
+        }
+    }
+    json.endArray();
+    emitTable(blockTable, opts);
+
     const bool ok = treeAlwaysLoses && gridAlwaysMasks &&
                     gridZeroDegradation && degradationMonotone &&
-                    gridBeatsTree && deterministic;
+                    gridBeatsTree && deterministic && laneIdentical;
     json.keyValue("degradation_monotone", degradationMonotone)
         .keyValue("grid_clocked_fraction_beats_tree", gridBeatsTree)
         .keyValue("bit_identical_across_thread_counts", deterministic)
+        .keyValue("lane_pass_bit_identical_to_run_trial", laneIdentical)
         .keyValue("all_properties_hold", ok);
 
     std::printf(
         "\nwrote BENCH_fault_tolerance.json (tree lost cells on "
         "%zu/%zu single faults, grid masked %zu/%zu with %s skew "
-        "degradation; sweeps %s across 1/2/8 threads)\n",
+        "degradation; sweeps %s across 1/2/8 threads; lane pass %s "
+        "runTrial)\n",
         treePass.sites - treePass.masked, treePass.sites,
         gridPass.masked, gridPass.sites,
         gridZeroDegradation ? "zero" : "NONZERO",
-        deterministic ? "bit-identical" : "DIVERGED");
+        deterministic ? "bit-identical" : "DIVERGED",
+        laneIdentical ? "bit-identical to" : "DIVERGED from");
     if (!ok)
         std::printf("PROPERTY FAILURE: see "
                     "BENCH_fault_tolerance.json\n");

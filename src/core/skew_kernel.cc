@@ -85,6 +85,106 @@ foldRows(RngIsa isa, const Time *rows, const std::int32_t *a,
     foldRowsScalar(rows, a, b, pairs, worst);
 }
 
+// The fold of arrivalSkewBlock, branch-free: a cell counts in a lane
+// when its arrival is finite, a pair counts when both endpoints do
+// (ok), and the pair's |ta - tb| enters the lane's maximum only then
+// (masked to +0 otherwise; ta - tb of two infinities is NaN, which the
+// mask drops). |x| and max are exact and the arrivals hold no NaN or
+// -0, so the maximum does not depend on the fold order or on how the
+// lanes are grouped.
+
+/** Lanes of one arrivalSkewBlock group. */
+constexpr std::size_t foldLanes = 8;
+
+/** One lane group's counts and maxima. */
+struct LaneFold
+{
+    std::size_t cells[foldLanes];
+    std::size_t pairs[foldLanes];
+    Time worst[foldLanes];
+};
+
+/** The fold of lanes [0, @p m) of the matrix at @p arr, one lane at a
+ *  time. */
+void
+foldLanesScalar(const Time *arr, std::size_t stride, std::size_t m,
+                std::size_t ncells, const CellId *a, const CellId *b,
+                std::size_t pairs, LaneFold &out)
+{
+    for (std::size_t j = 0; j < m; ++j) {
+        std::size_t cells = 0;
+        for (std::size_t c = 0; c < ncells; ++c)
+            cells += arr[c * stride + j] < infinity;
+        Time acc = 0.0;
+        std::size_t count = 0;
+        for (std::size_t p = 0; p < pairs; ++p) {
+            const Time ta = arr[static_cast<std::size_t>(a[p]) * stride + j];
+            const Time tb = arr[static_cast<std::size_t>(b[p]) * stride + j];
+            const bool ok = (ta < infinity) & (tb < infinity);
+            acc = std::max(acc, ok ? std::fabs(ta - tb) : 0.0);
+            count += ok;
+        }
+        out.cells[j] = cells;
+        out.pairs[j] = count;
+        out.worst[j] = acc;
+    }
+}
+
+#if defined(__x86_64__)
+
+/** The fold of all foldLanes lanes, two ymm per row: @pre every row
+ *  of the matrix at @p arr has slots [0, foldLanes). */
+__attribute__((target("avx2"))) void
+foldLanesAvx2(const Time *arr, std::size_t stride, std::size_t ncells,
+              const CellId *a, const CellId *b, std::size_t pairs,
+              LaneFold &out)
+{
+    const __m256d never = _mm256_set1_pd(infinity);
+    const __m256d magnitude =
+        _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
+    // Lanes [4h, 4h + 4) in half h; a finite lane compares all ones,
+    // -1 as an integer.
+    __m256i cells[2] = {_mm256_setzero_si256(), _mm256_setzero_si256()};
+    for (std::size_t c = 0; c < ncells; ++c) {
+        const Time *row = arr + c * stride;
+#pragma GCC unroll 2
+        for (std::size_t h = 0; h < 2; ++h)
+            cells[h] = _mm256_sub_epi64(
+                cells[h], _mm256_castpd_si256(_mm256_cmp_pd(
+                              _mm256_loadu_pd(row + 4 * h), never,
+                              _CMP_LT_OQ)));
+    }
+    __m256d worst[2] = {_mm256_setzero_pd(), _mm256_setzero_pd()};
+    __m256i count[2] = {_mm256_setzero_si256(), _mm256_setzero_si256()};
+    for (std::size_t p = 0; p < pairs; ++p) {
+        const Time *ra = arr + static_cast<std::size_t>(a[p]) * stride;
+        const Time *rb = arr + static_cast<std::size_t>(b[p]) * stride;
+#pragma GCC unroll 2
+        for (std::size_t h = 0; h < 2; ++h) {
+            const __m256d ta = _mm256_loadu_pd(ra + 4 * h);
+            const __m256d tb = _mm256_loadu_pd(rb + 4 * h);
+            const __m256d ok =
+                _mm256_and_pd(_mm256_cmp_pd(ta, never, _CMP_LT_OQ),
+                              _mm256_cmp_pd(tb, never, _CMP_LT_OQ));
+            const __m256d d = _mm256_and_pd(
+                _mm256_and_pd(_mm256_sub_pd(ta, tb), magnitude), ok);
+            // max(d, worst) = d > worst ? d : worst, std::max(worst, d).
+            worst[h] = _mm256_max_pd(d, worst[h]);
+            count[h] = _mm256_sub_epi64(count[h], _mm256_castpd_si256(ok));
+        }
+    }
+    static_assert(sizeof(std::size_t) == sizeof(std::int64_t));
+    for (std::size_t h = 0; h < 2; ++h) {
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out.cells + 4 * h),
+                            cells[h]);
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out.pairs + 4 * h),
+                            count[h]);
+        _mm256_storeu_pd(out.worst + 4 * h, worst[h]);
+    }
+}
+
+#endif
+
 } // namespace
 
 SkewKernel::SkewKernel(const layout::Layout &l)
@@ -463,7 +563,7 @@ SkewKernel::arrivalSkew(std::span<const Time> cell_arrival) const
 
 void
 SkewKernel::arrivalSkewBlock(std::span<const Time> lane_cell_arrival,
-                             std::span<ArrivalSkew> out) const
+                             std::span<ArrivalSkew> out, RngIsa isa) const
 {
     const std::size_t width = out.size();
     VSYNC_ASSERT(width >= 1 && width <= maxLanes,
@@ -472,40 +572,37 @@ SkewKernel::arrivalSkewBlock(std::span<const Time> lane_cell_arrival,
     VSYNC_ASSERT(lane_cell_arrival.size() == cellCount() * stride,
                  "%zu arrival slots for %zu cells x stride %zu",
                  lane_cell_arrival.size(), cellCount(), stride);
+    VSYNC_ASSERT(rngIsaSupported(isa), "this host cannot run %s",
+                 rngIsaName(isa));
     for (ArrivalSkew &o : out)
         o = ArrivalSkew{};
     if (!cellCount())
         return;
 
     const Time *arr = lane_cell_arrival.data();
-    std::size_t clocked[maxLanes] = {};
     const std::size_t ncells = cellCount();
-    for (std::size_t c = 0; c < ncells; ++c) {
-        const Time *row = arr + c * stride;
-        for (std::size_t j = 0; j < width; ++j)
-            clocked[j] += row[j] < infinity;
-    }
-
     const std::size_t pairs = pairCount();
-    for (std::size_t i = 0; i < pairs; ++i) {
-        const Time *ra =
-            arr + static_cast<std::size_t>(pairCellA[i]) * stride;
-        const Time *rb =
-            arr + static_cast<std::size_t>(pairCellB[i]) * stride;
-        for (std::size_t j = 0; j < width; ++j) {
-            const Time ta = ra[j];
-            const Time tb = rb[j];
-            if (ta >= infinity || tb >= infinity)
-                continue;
-            ++out[j].clockedPairs;
-            out[j].maxCommSkew =
-                std::max(out[j].maxCommSkew, std::fabs(ta - tb));
+    for (std::size_t g = 0; g < width; g += foldLanes) {
+        const std::size_t m = std::min(foldLanes, width - g);
+        LaneFold f;
+#if defined(__x86_64__)
+        // A row holds foldLanes slots past g unless it is short (width
+        // 1, or a partial last group): then each lane folds alone.
+        if (isa != RngIsa::Scalar && g + foldLanes <= stride)
+            foldLanesAvx2(arr + g, stride, ncells, pairCellA.data(),
+                          pairCellB.data(), pairs, f);
+        else
+#endif
+            foldLanesScalar(arr + g, stride, m, ncells, pairCellA.data(),
+                            pairCellB.data(), pairs, f);
+        for (std::size_t j = 0; j < m; ++j) {
+            ArrivalSkew &o = out[g + j];
+            o.clockedFraction = static_cast<double>(f.cells[j]) /
+                                static_cast<double>(ncells);
+            o.maxCommSkew = f.worst[j];
+            o.clockedPairs = f.pairs[j];
+            o.pairCount = pairs;
         }
-    }
-    for (std::size_t j = 0; j < width; ++j) {
-        out[j].clockedFraction = static_cast<double>(clocked[j]) /
-                                 static_cast<double>(ncells);
-        out[j].pairCount = pairs;
     }
     served.fetch_add(pairs * width, std::memory_order_relaxed);
 }

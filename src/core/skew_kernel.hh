@@ -260,12 +260,20 @@ class SkewKernel
                                          std::vector<Time> &scratch,
                                          RngIsa isa = rngIsaBest()) const;
 
-    /** Blocked arrivalSkew(): evaluate a lane-major per-cell arrival
-     *  matrix (cellCount() * laneStride(out.size()) slots, infinity =
-     *  never clocked) into out[j] = lane j's ArrivalSkew. Works on
-     *  pairs-only kernels. */
+    /**
+     * Blocked arrivalSkew(): evaluate a lane-major per-cell arrival
+     * matrix (cellCount() * laneStride(out.size()) slots, infinity =
+     * never clocked) into out[j] = lane j's ArrivalSkew. Works on
+     * pairs-only kernels. Branch-free: lanes go in groups of 8, two
+     * ymm per row on the SIMD ISAs, and a pair's |ta - tb| is masked
+     * to +0 in lanes where either endpoint is unclocked; short rows
+     * (width 1, a partial last group) and the Scalar ISA fold each
+     * lane alone. Every ISA and width gives the same bits.
+     * @pre @p isa supported.
+     */
     void arrivalSkewBlock(std::span<const Time> lane_cell_arrival,
-                          std::span<ArrivalSkew> out) const;
+                          std::span<ArrivalSkew> out,
+                          RngIsa isa = rngIsaBest()) const;
 
     /**
      * The lane width the range entry points drive their blocks at: a

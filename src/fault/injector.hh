@@ -132,9 +132,10 @@ simulateTreeUnderFaults(const core::SkewKernel &kernel,
 /**
  * The arrivals-only half of simulateTreeUnderFaults: run the faulty
  * pulse and fill @p cell_arrival (resized to kernel.cellCount();
- * infinity = never clocked) without the pair-fold reduction. Blocked
- * resilience trials batch several of these surfaces lane-major and
- * reduce them in one core::SkewKernel::arrivalSkewBlock pass.
+ * infinity = never clocked) without the pair-fold reduction: the desim
+ * oracle of mc::ResilienceScenario::cellArrivals, whose one-trial pass
+ * is in turn the oracle of the sweep's 8-lane pass
+ * (mc::ResilienceScenario::runTrialBlock).
  */
 void
 simulateTreeArrivalsUnderFaults(const core::SkewKernel &kernel,

@@ -79,18 +79,39 @@ Graph::connected(CellId a, CellId b) const
 std::vector<Edge>
 Graph::undirectedEdges() const
 {
-    std::vector<Edge> pairs;
-    pairs.reserve(edges.size());
+    // Counting sort on the min endpoint; then each bucket's max
+    // endpoints are sorted and deduplicated in place. That gives the
+    // bytes of sorting every (min, max) pair, without a comparison
+    // sort over all the edges.
+    const std::size_t n = size();
+    std::vector<std::size_t> end(n + 1, 0);
     for (const Edge &e : edges)
-        pairs.push_back({std::min(e.src, e.dst), std::max(e.src, e.dst)});
-    std::sort(pairs.begin(), pairs.end(), [](const Edge &a, const Edge &b) {
-        return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-    });
-    pairs.erase(std::unique(pairs.begin(), pairs.end(),
-                            [](const Edge &a, const Edge &b) {
-                                return a.src == b.src && a.dst == b.dst;
-                            }),
-                pairs.end());
+        ++end[static_cast<std::size_t>(std::min(e.src, e.dst)) + 1];
+    for (std::size_t v = 0; v < n; ++v)
+        end[v + 1] += end[v];
+    // Placing through end[v] moves it from bucket v's start to its end.
+    std::vector<CellId> hi(edges.size());
+    for (const Edge &e : edges)
+        hi[end[static_cast<std::size_t>(std::min(e.src, e.dst))]++] =
+            std::max(e.src, e.dst);
+    std::size_t kept = 0;
+    std::size_t begin = 0;
+    for (std::size_t v = 0; v < n; ++v) {
+        std::sort(hi.begin() + begin, hi.begin() + end[v]);
+        for (std::size_t k = begin; k < end[v]; ++k)
+            if (k == begin || hi[k] != hi[k - 1])
+                hi[kept++] = hi[k];
+        begin = end[v];
+        end[v] = kept;
+    }
+    std::vector<Edge> pairs;
+    pairs.reserve(kept);
+    begin = 0;
+    for (std::size_t v = 0; v < n; ++v) {
+        for (std::size_t k = begin; k < end[v]; ++k)
+            pairs.push_back({static_cast<CellId>(v), hi[k]});
+        begin = end[v];
+    }
     return pairs;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstring>
 #include <unordered_set>
 
 #if defined(__x86_64__)
@@ -326,6 +327,314 @@ struct UniformRows
 
 constexpr UniformRows uniformRows;
 
+/** Trials per lane group of the lane pass. */
+constexpr std::size_t laneCount = PlanBlock::lanes;
+
+/** One value per trial of a lane group. The lane pass writes each
+ *  lane operation as a plain loop over the lanes, which the compiler
+ *  turns into vector instructions at the width of the pass's ISA;
+ *  every lane computes the one-trial pass's expression. */
+struct alignas(64) Lanes
+{
+    Time v[laneCount];
+};
+
+/** Lane codes that force an arrival (any code >= 0 is a stage scale,
+ *  1 when healthy). */
+constexpr Time forceInf = -infinity;
+constexpr Time forceZero = -1.0;
+
+/**
+ * The code of a slot under fault bits @p flags with stage scale
+ * @p scale, in the one-trial pass's precedence: a stuck net forces
+ * its level, a glitch forces a rise at t = 0, a dead stage never
+ * delivers, and otherwise the stage delay is scaled.
+ */
+inline Time
+laneCode(std::uint8_t flags, Time scale)
+{
+    if (flags & stuckHigh)
+        return forceZero;
+    if (flags & stuckLow)
+        return forceInf;
+    if (flags & glitched)
+        return forceZero;
+    if (flags & deadStage)
+        return forceInf;
+    return scale;
+}
+
+/** Arrival @p x through a slot of code @p c. */
+inline Time
+applyCode(Time c, Time x)
+{
+    return c >= 0.0 ? x : (c < forceZero ? infinity : 0.0);
+}
+
+/**
+ * Per-thread scratch of the lane pass. A fault slot holds the fault
+ * state of one stage and net: tree site i is slot i (the stage
+ * feeding it and its net; buffer fault k hits slot k + 1, net fault k
+ * slot k), grid link l is slot l and grid net k is slot
+ * 3 * rows * cols + k (the root is net rows * cols). Lane j of slot s
+ * is flags[s * laneCount + j] and code[s].v[j]. Between blocks every
+ * slot is healthy (flags 0, code 1). arrival holds lane-major
+ * arrivals: every tree site, or the grid's previous and current layer.
+ */
+struct LaneScratch
+{
+    std::vector<std::uint8_t> flags;
+    std::vector<Lanes> code;
+    std::vector<Lanes> arrival;
+
+    /** Grow (never shrink) to @p slots healthy slots and @p rows
+     *  arrival rows. */
+    void
+    fit(std::size_t slots, std::size_t rows)
+    {
+        if (code.size() < slots) {
+            flags.resize(slots * laneCount, 0);
+            Lanes healthy;
+            std::fill(std::begin(healthy.v), std::end(healthy.v), 1.0);
+            code.resize(slots, healthy);
+        }
+        if (arrival.size() < rows)
+            arrival.resize(rows);
+    }
+};
+
+thread_local LaneScratch laneScratch;
+
+/**
+ * Fold lane @p lane's @p hits into @p ls, or with @p undo restore the
+ * slots they touched. Buffer fault k hits slot k + @p stage_offset,
+ * net fault k slot @p net_base + k.
+ */
+void
+foldLaneHits(std::span<const fault::Fault> hits,
+             const fault::FaultUniverse &u, std::size_t stage_offset,
+             std::size_t net_base, LaneScratch &ls, std::size_t lane,
+             bool undo)
+{
+    const auto slotOf = [&](const fault::Fault &f) {
+        if (f.kind == fault::FaultKind::DeadBuffer ||
+            f.kind == fault::FaultKind::DelayDrift) {
+            VSYNC_ASSERT(f.site < u.bufferSites, "buffer site %zu of %zu",
+                         f.site, u.bufferSites);
+            return f.site + stage_offset;
+        }
+        VSYNC_ASSERT(f.site < u.clockNets, "clock net %zu of %zu", f.site,
+                     u.clockNets);
+        return net_base + f.site;
+    };
+    // Every hit but a drift sets a forcing bit, and laneCode ignores
+    // the scale once one is set, so recoding at each hit gives the
+    // code of the slot's final bits in any hit order.
+    for (const fault::Fault &f : hits) {
+        if (f.kind == fault::FaultKind::SeveredHandshakeWire)
+            continue; // no handshake wires on a clock distribution
+        const std::size_t slot = slotOf(f);
+        std::uint8_t &flags = ls.flags[slot * laneCount + lane];
+        Time &code = ls.code[slot].v[lane];
+        if (undo) {
+            flags = 0;
+            code = 1.0;
+        } else if (f.kind == fault::FaultKind::DelayDrift) {
+            VSYNC_ASSERT(f.magnitude >= 0.0, "drift factor %g",
+                         f.magnitude);
+            code = laneCode(flags, f.magnitude);
+        } else {
+            flags |= f.kind == fault::FaultKind::DeadBuffer ? deadStage
+                     : f.kind == fault::FaultKind::TransientGlitch
+                         ? glitched
+                     : f.stuckHigh ? stuckHigh
+                                   : stuckLow;
+            code = laneCode(flags, code);
+        }
+    }
+}
+
+/** A chunk of lane draws: rows[(k + 1) * laneCount + j] is lane j's
+ *  next uniform(lo, hi) draw, for k < the chunk's count. */
+using DrawRows = std::array<double, (planRows + 1) * laneCount>;
+
+void
+drawRows(std::span<Rng> lanes, const core::WireDelay &delay,
+         std::size_t count, DrawRows &rows, RngIsa isa)
+{
+    const LaneSteps steps{uniformRows.from.data(), uniformRows.to.data(),
+                          uniformRows.scale.data(), count};
+    Rng::propagateUniformLanes(lanes, delay.lo(), delay.hi(), steps,
+                               rows.data(), laneCount, isa);
+}
+
+/** Store lanes [0, @p m) of @p x to dst[0, m). */
+inline void
+storeLanes(Time *dst, const Lanes &x, std::size_t m)
+{
+    if (m == laneCount)
+        std::memcpy(dst, x.v, sizeof x.v);
+    else
+        std::memcpy(dst, x.v, m * sizeof(Time));
+}
+
+/**
+ * treeArrivals for a lane group: lane j draws its delays from lanes[j]
+ * -- 64 rows at a time through Rng::propagateUniformLanes over a zero
+ * row, so each lane replays its scalar delay sequence -- reads lane j
+ * of the fault slots, and writes its cell c arrival to
+ * out[c * stride + j]. Every site is a[parent] + (wire * u + buffer)
+ * * code in all lanes at once, branch-free; a negative code forces
+ * its lane.
+ */
+[[gnu::always_inline]] inline void
+treeLanes(const ResilienceScenario &s, LaneScratch &ls,
+          std::span<Rng> lanes, Time *out, std::size_t stride, RngIsa isa)
+{
+    const std::size_t n = s.siteParent.size();
+    const Lanes *code = ls.code.data();
+    Lanes *a = ls.arrival.data();
+    for (std::size_t j = 0; j < laneCount; ++j)
+        a[0].v[j] = applyCode(code[0].v[j], 0.0);
+    alignas(64) DrawRows rows{};
+    for (std::size_t i0 = 1; i0 < n; i0 += planRows) {
+        const std::size_t count = std::min(planRows, n - i0);
+        drawRows(lanes, s.rc.delay, count, rows, isa);
+        for (std::size_t k = 0; k < count; ++k) {
+            const std::size_t i = i0 + k;
+            const double *u = rows.data() + (k + 1) * laneCount;
+            const Lanes &p = a[s.siteParent[i]];
+            const Lanes &c = code[i];
+            const Time wire = s.siteWire[i];
+            const Time add = s.siteIsBuffer[i] ? s.rc.bufferDelay : 0.0;
+            Lanes x;
+            for (std::size_t j = 0; j < laneCount; ++j)
+                x.v[j] =
+                    applyCode(c.v[j], p.v[j] + (wire * u[j] + add) * c.v[j]);
+            a[i] = x;
+        }
+    }
+    for (std::size_t c = 0; c < s.cellSite.size(); ++c)
+        storeLanes(out + c * stride, a[s.cellSite[c]], lanes.size());
+}
+
+/** Rows of link draws per chunk of gridLanes: whole nodes. */
+constexpr std::size_t gridRows = planRows / 3 * 3;
+
+/**
+ * gridArrivals for a lane group, lanes and slots as in treeLanes:
+ * three draws per node and lane in construction order (r, c, k), each
+ * link src + (buffer + u) * code, and the median vote and the node's
+ * net code in all lanes at once. Only two layers of lanes are kept.
+ */
+[[gnu::always_inline]] inline void
+gridLanes(const ResilienceScenario &s, LaneScratch &ls,
+          std::span<Rng> lanes, Time *out, std::size_t stride, RngIsa isa)
+{
+    const std::size_t cols = static_cast<std::size_t>(s.cols);
+    const std::size_t nodes = static_cast<std::size_t>(s.rows) * cols;
+    const Lanes *code = ls.code.data();
+    const Lanes *netCode = code + 3 * nodes;
+    const Time buffer = s.rc.bufferDelay;
+    Lanes root;
+    for (std::size_t j = 0; j < laneCount; ++j)
+        root.v[j] = applyCode(netCode[nodes].v[j], 0.0);
+    // Layer r of the grid lives in layers[(r % 2) * cols, + cols).
+    Lanes *layers = ls.arrival.data();
+    alignas(64) DrawRows rows{};
+    std::size_t next = 0;
+    std::size_t have = 0;
+    for (std::size_t node = 0; node < nodes; ++node) {
+        const std::size_t r = node / cols;
+        const std::size_t c = node % cols;
+        if (next == have) {
+            have = std::min(gridRows, 3 * (nodes - node));
+            drawRows(lanes, s.rc.delay, have, rows, isa);
+            next = 0;
+        }
+        // Layer r - 1 feeds layer r; layer 0 hangs off the root.
+        const Lanes *prev = r == 0 ? nullptr : layers + ((r - 1) % 2) * cols;
+        std::array<Lanes, 3> in;
+        for (std::size_t k = 0; k < 3; ++k) {
+            // Column c - 1 + k, clamped to the grid.
+            const std::size_t pc =
+                std::min(c + k == 0 ? 0 : c + k - 1, cols - 1);
+            const Lanes &src = prev ? prev[pc] : root;
+            const Lanes &lc = code[3 * node + k];
+            const double *u = rows.data() + (next + k + 1) * laneCount;
+            for (std::size_t j = 0; j < laneCount; ++j)
+                in[k].v[j] =
+                    applyCode(lc.v[j], src.v[j] + (buffer + u[j]) * lc.v[j]);
+        }
+        next += 3;
+        // The median vote, as gridArrivals takes it: minTime(a, b) is
+        // a < b ? a : b and maxTime(a, b) is a > b ? a : b.
+        Lanes median;
+        for (std::size_t j = 0; j < laneCount; ++j) {
+            const Time a = in[0].v[j];
+            const Time b = in[1].v[j];
+            const Time lo = a < b ? a : b;
+            const Time hi = a > b ? a : b;
+            const Time mid = hi < in[2].v[j] ? hi : in[2].v[j];
+            median.v[j] = applyCode(netCode[node].v[j], lo > mid ? lo : mid);
+        }
+        layers[(r % 2) * cols + c] = median;
+        storeLanes(out + node * stride, median, lanes.size());
+    }
+}
+
+// The lane pass compiled for each ISA: the same operations, so the
+// same bits, at the ISA's vector width.
+[[gnu::always_inline]] inline void
+lanePassBody(const ResilienceScenario &s, LaneScratch &ls,
+             std::span<Rng> lanes, Time *out, std::size_t stride,
+             RngIsa isa)
+{
+    if (s.kind == DistributionKind::TrixGrid)
+        gridLanes(s, ls, lanes, out, stride, isa);
+    else
+        treeLanes(s, ls, lanes, out, stride, isa);
+}
+
+void
+lanePassBase(const ResilienceScenario &s, LaneScratch &ls,
+             std::span<Rng> lanes, Time *out, std::size_t stride,
+             RngIsa isa)
+{
+    lanePassBody(s, ls, lanes, out, stride, isa);
+}
+
+#if defined(__x86_64__)
+__attribute__((target("avx2"))) void
+lanePassAvx2(const ResilienceScenario &s, LaneScratch &ls,
+             std::span<Rng> lanes, Time *out, std::size_t stride,
+             RngIsa isa)
+{
+    lanePassBody(s, ls, lanes, out, stride, isa);
+}
+
+__attribute__((target("avx512f"))) void
+lanePassAvx512(const ResilienceScenario &s, LaneScratch &ls,
+               std::span<Rng> lanes, Time *out, std::size_t stride,
+               RngIsa isa)
+{
+    lanePassBody(s, ls, lanes, out, stride, isa);
+}
+#endif
+
+void
+lanePass(const ResilienceScenario &s, LaneScratch &ls, std::span<Rng> lanes,
+         Time *out, std::size_t stride, RngIsa isa)
+{
+#if defined(__x86_64__)
+    if (isa == RngIsa::Avx512)
+        return lanePassAvx512(s, ls, lanes, out, stride, isa);
+    if (isa == RngIsa::Avx2)
+        return lanePassAvx2(s, ls, lanes, out, stride, isa);
+#endif
+    lanePassBase(s, ls, lanes, out, stride, isa);
+}
+
 /** hitRows in plain C++: bit j of hits[r] is row[r * 8 + j] < rate. */
 void
 hitRowsScalar(const double *row, std::size_t count, double rate,
@@ -614,7 +923,7 @@ ResilienceScenario::runTrialBlock(
     std::uint64_t seed, std::uint64_t first_trial, std::size_t count,
     std::span<double> out_skew, std::span<double> out_clocked,
     std::span<double> out_faults, const TrialCounters *counters,
-    std::vector<Time> &lane_scratch) const
+    std::vector<Time> &lane_scratch, RngIsa isa) const
 {
     VSYNC_ASSERT(count >= 1 && count <= core::SkewKernel::maxLanes,
                  "%zu trials per block (1..%zu supported)", count,
@@ -626,27 +935,42 @@ ResilienceScenario::runTrialBlock(
     const std::size_t stride = core::SkewKernel::laneStride(count);
     const std::size_t cells = kernel->cellCount();
     lane_scratch.resize(cells * stride);
-    // Each lane group's plans are drawn in lockstep; then every trial
-    // writes its arrival surface straight into its lane column, and one
-    // blocked pair fold reduces them all.
+    // Fault slots as LaneScratch lays them out.
+    const bool grid = kind == DistributionKind::TrixGrid;
+    const std::size_t stageOffset = grid ? 0 : 1;
+    const std::size_t netBase = grid ? 3 * cells : 0;
+    LaneScratch &ls = laneScratch;
+    if (grid)
+        ls.fit(netBase + cells + 1, 2 * static_cast<std::size_t>(cols));
+    else
+        ls.fit(siteParent.size(), siteParent.size());
+    // Per lane group: the plans are drawn in lockstep and folded into
+    // the group's lanes, one lane pass writes the group's columns of
+    // the cell matrix, and one blocked pair fold reduces all groups.
     PlanBlock &plans = planScratch;
     std::array<std::uint64_t, fault::faultKindCount> kindHits{};
     std::uint64_t draws = 0;
-    for (std::size_t g = 0; g < count; g += PlanBlock::lanes) {
-        const std::size_t m = std::min(PlanBlock::lanes, count - g);
-        draws +=
-            drawPlanBlock(universe, rates, seed, first_trial + g, m, plans);
+    for (std::size_t g = 0; g < count; g += laneCount) {
+        const std::size_t m = std::min(laneCount, count - g);
+        draws += drawPlanBlock(universe, rates, seed, first_trial + g, m,
+                               plans, isa);
+        std::array<Rng, laneCount> delay;
         for (std::size_t j = 0; j < m; ++j) {
             const std::vector<fault::Fault> &hits = plans.hits[j];
-            Rng delay_rng = Rng::forTrial(seed, first_trial + g + j)
-                                .deriveStream(delaySalt);
-            arrivalsUnder(*this, hits, delay_rng,
-                          lane_scratch.data() + g + j, stride);
+            delay[j] = Rng::forTrial(seed, first_trial + g + j)
+                           .deriveStream(delaySalt);
+            foldLaneHits(hits, universe, stageOffset, netBase, ls, j, false);
             out_faults[g + j] = static_cast<double>(hits.size());
-            draws += delay_rng.draws();
             if (counters)
                 for (const fault::Fault &h : hits)
                     ++kindHits[static_cast<std::size_t>(h.kind)];
+        }
+        lanePass(*this, ls, {delay.data(), m}, lane_scratch.data() + g,
+                 stride, isa);
+        for (std::size_t j = 0; j < m; ++j) {
+            draws += delay[j].draws();
+            foldLaneHits(plans.hits[j], universe, stageOffset, netBase, ls,
+                         j, true);
         }
     }
     // Sparse plans reuse the lists; a dense one is not held for the
@@ -662,7 +986,7 @@ ResilienceScenario::runTrialBlock(
     std::array<core::ArrivalSkew, core::SkewKernel::maxLanes> reduced;
     kernel->arrivalSkewBlock(
         std::span<const Time>(lane_scratch.data(), cells * stride),
-        std::span<core::ArrivalSkew>(reduced.data(), count));
+        std::span<core::ArrivalSkew>(reduced.data(), count), isa);
     for (std::size_t j = 0; j < count; ++j) {
         out_skew[j] = reduced[j].maxCommSkew;
         out_clocked[j] = reduced[j].clockedFraction;
@@ -677,7 +1001,8 @@ ResilienceScenario::runTrialRange(std::uint64_t seed,
                                   std::span<double> out_clocked,
                                   std::span<double> out_faults,
                                   const TrialCounters *counters,
-                                  std::vector<Time> &scratch) const
+                                  std::vector<Time> &scratch,
+                                  RngIsa isa) const
 {
     const std::size_t n = out_skew.size();
     VSYNC_ASSERT(out_clocked.size() == n && out_faults.size() == n,
@@ -689,7 +1014,8 @@ ResilienceScenario::runTrialRange(std::uint64_t seed,
         draws += runTrialBlock(seed, first_trial + i, w,
                                out_skew.subspan(i, w),
                                out_clocked.subspan(i, w),
-                               out_faults.subspan(i, w), counters, scratch);
+                               out_faults.subspan(i, w), counters, scratch,
+                               isa);
     }
     return draws;
 }

@@ -17,7 +17,9 @@
  * First arrivals come from a compiled one-pass recurrence over the
  * distribution (ResilienceScenario documents the rules), bitwise equal
  * to the desim drivers fault::simulate{Tree,Grid}ArrivalsUnderFaults,
- * which stay the oracle (tests/test_resilience_compiled.cc).
+ * which stay the oracle (tests/test_resilience_compiled.cc). Sweeps
+ * run it eight trials at a time (runTrialBlock); the one-trial
+ * cellArrivals / runTrial are the lane pass's oracle.
  *
  * All sweeps obey the Monte-Carlo determinism contract: results are
  * bit-identical for any cfg.threads.
@@ -212,16 +214,21 @@ struct ResilienceScenario
              const TrialCounters *counters = nullptr) const;
 
     /**
-     * Trials [first_trial, first_trial + count) in one blocked pass:
-     * drawPlanBlock draws the plans of up to PlanBlock::lanes trials
-     * in lockstep, each trial folds its hits into the per-thread pass
-     * scratch and writes its arrivals straight into its column of a
-     * lane-major cell matrix, and one
-     * core::SkewKernel::arrivalSkewBlock call reduces the block --
-     * trial j's slots are bitwise what runTrial would have produced.
-     * @p count <= core::SkewKernel::maxLanes. @p lane_scratch is
-     * resized once and reusable across calls on the same thread.
-     * Returns the RNG draws of the plan and delay substreams.
+     * Trials [first_trial, first_trial + count) in one blocked pass,
+     * lane-major end to end, PlanBlock::lanes trials per lane group:
+     * drawPlanBlock draws the group's plans in lockstep; each lane's
+     * faults are folded into its lane of per-thread fault slots; one
+     * lane pass draws every lane's delays through
+     * Rng::propagateUniformLanes (64 rows at a time over a zero row)
+     * and computes every site or node in all lanes at once, branch-
+     * free, writing the group's columns of a lane-major cell matrix;
+     * and one core::SkewKernel::arrivalSkewBlock call folds the whole
+     * block. Trial j's slots are bitwise what runTrial produces, and
+     * @p isa (the RNG kernels', the pass's and the fold's) does not
+     * change them. @p count <= core::SkewKernel::maxLanes;
+     * @p isa supported. @p lane_scratch is resized once and reusable
+     * across calls on the same thread. Returns the RNG draws of the
+     * plan and delay substreams.
      */
     std::uint64_t runTrialBlock(std::uint64_t seed,
                                 std::uint64_t first_trial,
@@ -230,16 +237,18 @@ struct ResilienceScenario
                                 std::span<double> out_clocked,
                                 std::span<double> out_faults,
                                 const TrialCounters *counters,
-                                std::vector<Time> &lane_scratch) const;
+                                std::vector<Time> &lane_scratch,
+                                RngIsa isa = rngIsaBest()) const;
 
     /**
      * The Monte-Carlo range entry point: trials [first_trial,
      * first_trial + out_skew.size()), driven kernel->blockWidth()
      * trials at a time through runTrialBlock with a narrower
      * remainder block; slot k of each output span receives trial
-     * first_trial + k. Every width is bit-identical, so results do
-     * not depend on how a sweep splits its trials into ranges.
-     * Returns the RNG draws consumed.
+     * first_trial + k, on @p isa as runTrialBlock takes it. Every
+     * width and ISA is bit-identical, so results do not depend on how
+     * a sweep splits its trials into ranges or on the host. Returns
+     * the RNG draws consumed.
      */
     std::uint64_t runTrialRange(std::uint64_t seed,
                                 std::uint64_t first_trial,
@@ -247,7 +256,8 @@ struct ResilienceScenario
                                 std::span<double> out_clocked,
                                 std::span<double> out_faults,
                                 const TrialCounters *counters,
-                                std::vector<Time> &scratch) const;
+                                std::vector<Time> &scratch,
+                                RngIsa isa = rngIsaBest()) const;
 };
 
 /**

@@ -5,11 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/rng.hh"
 #include "graph/graph.hh"
 
 namespace
 {
 
+using vsync::graph::Edge;
 using vsync::graph::Graph;
 
 TEST(Graph, AddNodesAndEdges)
@@ -68,6 +74,57 @@ TEST(Graph, UndirectedEdgesCollapsePairs)
     EXPECT_EQ(ue[0].dst, 1);
     EXPECT_EQ(ue[1].src, 1);
     EXPECT_EQ(ue[1].dst, 2);
+}
+
+TEST(Graph, UndirectedEdgesMatchSortedDedupReference)
+{
+    // The reference: every directed edge as a (min, max) pair, sorted
+    // and deduplicated. Random graphs with repeated edges, both
+    // directions of a pair, isolated nodes, and the empty graph.
+    const auto reference = [](const Graph &g) {
+        std::vector<Edge> pairs;
+        for (const Edge &e : g.allEdges())
+            pairs.push_back({std::min(e.src, e.dst), std::max(e.src, e.dst)});
+        std::sort(pairs.begin(), pairs.end(),
+                  [](const Edge &a, const Edge &b) {
+                      return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+                  });
+        pairs.erase(std::unique(pairs.begin(), pairs.end(),
+                                [](const Edge &a, const Edge &b) {
+                                    return a.src == b.src && a.dst == b.dst;
+                                }),
+                    pairs.end());
+        return pairs;
+    };
+    vsync::Rng rng(0x6ed9e);
+    for (int round = 0; round < 200; ++round) {
+        const std::size_t n = round < 2 ? round : 2 + rng.uniformInt(40);
+        Graph g(n);
+        // Edges among the first half of the nodes only, so the rest
+        // stay isolated; few candidates, so pairs repeat.
+        const std::size_t used = std::max<std::size_t>(n / 2, 2);
+        const std::size_t edges = n < 2 ? 0 : rng.uniformInt(4 * n);
+        for (std::size_t k = 0; k < edges; ++k) {
+            const auto a = static_cast<vsync::CellId>(rng.uniformInt(used));
+            const auto b = static_cast<vsync::CellId>(rng.uniformInt(used));
+            if (a == b)
+                continue;
+            if (rng.bernoulli(0.3))
+                g.addBidirectional(a, b);
+            else
+                g.addEdge(a, b);
+        }
+        const std::vector<Edge> got = g.undirectedEdges();
+        const std::vector<Edge> want = reference(g);
+        ASSERT_EQ(got.size(), want.size()) << "round " << round;
+        for (std::size_t i = 0; i < got.size(); ++i)
+            ASSERT_TRUE(got[i].src == want[i].src &&
+                        got[i].dst == want[i].dst)
+                << "round " << round << " pair " << i << ": (" << got[i].src
+                << ", " << got[i].dst << ") vs (" << want[i].src << ", "
+                << want[i].dst << ")";
+    }
+    EXPECT_TRUE(Graph().undirectedEdges().empty());
 }
 
 TEST(Graph, ComponentsAndConnectivity)

@@ -8,7 +8,9 @@
  * the two must agree bit for bit, arrival by arrival, and consume the
  * same number of delay draws. Plans the pass does not cover abort.
  * The sweep's lockstep plan draw, mc::drawPlanBlock, is checked the
- * same way against its oracle FaultPlan::generate on every ISA.
+ * same way against its oracle FaultPlan::generate on every ISA, and
+ * the sweep's lane pass, mc::ResilienceScenario::runTrialBlock,
+ * against the one-trial runTrial.
  */
 
 #include <gtest/gtest.h>
@@ -398,6 +400,78 @@ TEST(ResilienceCompiled, LockstepPlansMatchGenerateOnEveryIsa)
                 want_draws += plan.draws();
             }
             EXPECT_EQ(draws, want_draws) << what;
+        }
+    }
+}
+
+TEST(ResilienceCompiled, LanePassMatchesRunTrialOnEveryIsa)
+{
+    // runTrialBlock runs eight trials per lane group through one pass
+    // and one pair fold; each trial must be bitwise runTrial's, which
+    // draws its plan with FaultPlan::generate and runs the one-trial
+    // pass. Every lane-kernel ISA, every distribution on a non-square
+    // mesh, rates from healthy to every site faulted, and widths that
+    // leave a partial lane group (1, 3, 7, 13) or fill one (8), at a
+    // nonzero first trial. The returned draws must be the plan and
+    // delay draws of those trials.
+    constexpr int rows = 5;
+    constexpr int cols = 7;
+    constexpr std::uint64_t seed = 0x1a9e;
+    const layout::Layout l = layout::meshLayout(rows, cols);
+    const std::array<double, 5> kRates = {0.0, 0.005, 0.05, 0.5, 1.0};
+    const std::array<std::size_t, 5> kWidths = {1, 3, 7, 8, 13};
+    for (const RngIsa isa : testutil::supportedRngIsas()) {
+        for (const mc::DistributionKind kind : kKinds) {
+            for (const double rate : kRates) {
+                const mc::ResilienceScenario s =
+                    mc::compileResilienceScenario(
+                        l, rows, cols, kind, rate, mc::ResilienceConfig{},
+                        core::directCompile());
+                std::vector<Time> scratch;
+                for (const std::size_t w : kWidths) {
+                    const std::uint64_t first = 17 + 3 * w;
+                    const std::string what =
+                        std::string(rngIsaName(isa)) + " " +
+                        mc::distributionKindName(kind) + " rate " +
+                        std::to_string(rate) + " width " +
+                        std::to_string(w);
+                    std::vector<double> skew(w), clocked(w), faults(w);
+                    const std::uint64_t draws = s.runTrialBlock(
+                        seed, first, w, std::span<double>(skew),
+                        std::span<double>(clocked),
+                        std::span<double>(faults), nullptr, scratch, isa);
+                    std::uint64_t want_draws = 0;
+                    for (std::size_t j = 0; j < w; ++j) {
+                        const fault::DistributionOutcome ref =
+                            s.runTrial(seed, first + j);
+                        const std::string lane =
+                            what + " lane " + std::to_string(j);
+                        EXPECT_EQ(std::bit_cast<std::uint64_t>(skew[j]),
+                                  std::bit_cast<std::uint64_t>(
+                                      ref.maxCommSkew))
+                            << lane << ": " << skew[j] << " vs "
+                            << ref.maxCommSkew;
+                        EXPECT_EQ(std::bit_cast<std::uint64_t>(clocked[j]),
+                                  std::bit_cast<std::uint64_t>(
+                                      ref.clockedFraction))
+                            << lane;
+                        EXPECT_EQ(faults[j],
+                                  static_cast<double>(ref.faultCount))
+                            << lane;
+                        // runTrial's draws: the plan substreams plus
+                        // the delay stream its pass reads.
+                        const Rng trial = Rng::forTrial(seed, first + j);
+                        Rng plan_rng = trial.deriveStream(mc::planSalt);
+                        Rng delay_rng = trial.deriveStream(mc::delaySalt);
+                        const FaultPlan plan =
+                            FaultPlan::generate(s.universe, s.rates, plan_rng);
+                        std::vector<Time> arrival(s.kernel->cellCount());
+                        s.cellArrivals(plan, delay_rng, arrival.data());
+                        want_draws += plan.draws() + delay_rng.draws();
+                    }
+                    EXPECT_EQ(draws, want_draws) << what;
+                }
+            }
         }
     }
 }

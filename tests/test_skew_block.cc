@@ -17,6 +17,7 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <string>
@@ -131,56 +132,89 @@ TEST(SkewBlock, ArrivalsThenFoldMatchScalarAtEveryWidth)
 TEST(SkewBlock, ArrivalSkewBlockMatchesScalarOnTrixSurfaces)
 {
     // Pairs-only kernel, as the TRIX-grid drivers compile it; random
-    // surfaces with unclocked (infinite) cells exercise the pair
-    // exclusion and clocked-fraction counting per lane. Blocked and
-    // scalar results must both equal a naive fold over the comm edges.
+    // surfaces at unclocked (infinite) densities from none to every
+    // cell exercise the pair exclusion and clocked-fraction counting
+    // per lane, on every ISA. From width 3 on, the last lane is
+    // unclocked everywhere (skew +0, no clocked pair) and the one
+    // before it has one arrival everywhere (skew +0, every pair
+    // clocked). Blocked and scalar results must both equal a naive
+    // fold over the comm edges, bitwise.
     const layout::Layout l = layout::meshLayout(7, 7);
     const SkewKernel kernel(l);
     const std::size_t cells = kernel.cellCount();
-    for (const std::size_t w : kWidths) {
-        const std::size_t stride = SkewKernel::laneStride(w);
-        std::vector<std::vector<Time>> scalar(w,
-                                              std::vector<Time>(cells));
-        std::vector<Time> block(cells * stride, 0.0);
-        Rng rng(0xfab + w);
-        for (std::size_t j = 0; j < w; ++j) {
-            for (std::size_t c = 0; c < cells; ++c) {
-                const Time t = rng.bernoulli(0.2)
-                                   ? infinity
-                                   : rng.uniform(0.0, 5.0);
-                scalar[j][c] = t;
-                block[c * stride + j] = t;
-            }
-        }
-        std::vector<core::ArrivalSkew> got(w);
-        kernel.arrivalSkewBlock(std::span<const Time>(block),
-                                std::span<core::ArrivalSkew>(got));
-        for (std::size_t j = 0; j < w; ++j) {
-            // Naive reference straight off the layout's comm graph:
-            // scalar arrivalSkew() is the width-1 blocked fold, so it
-            // cannot stand in for an independent one.
-            core::ArrivalSkew ref;
-            std::size_t clocked = 0;
-            for (const Time t : scalar[j])
-                clocked += t < infinity;
-            ref.clockedFraction = static_cast<double>(clocked) /
-                                  static_cast<double>(cells);
-            for (const graph::Edge &e : l.comm().undirectedEdges()) {
-                ++ref.pairCount;
-                const Time ta = scalar[j][e.src];
-                const Time tb = scalar[j][e.dst];
-                if (ta >= infinity || tb >= infinity)
-                    continue;
-                ++ref.clockedPairs;
-                ref.maxCommSkew =
-                    std::max(ref.maxCommSkew, std::fabs(ta - tb));
-            }
-            for (const core::ArrivalSkew &r :
-                 {got[j], kernel.arrivalSkew(scalar[j])}) {
-                EXPECT_EQ(r.maxCommSkew, ref.maxCommSkew) << j;
-                EXPECT_EQ(r.clockedFraction, ref.clockedFraction) << j;
-                EXPECT_EQ(r.clockedPairs, ref.clockedPairs) << j;
-                EXPECT_EQ(r.pairCount, ref.pairCount) << j;
+    const std::vector<graph::Edge> edges = l.comm().undirectedEdges();
+    const double kDensities[] = {0.0, 0.05, 0.2, 0.5, 0.95, 1.0};
+    for (const RngIsa isa : testutil::supportedRngIsas()) {
+        for (const double density : kDensities) {
+            for (const std::size_t w : kWidths) {
+                const std::size_t stride = SkewKernel::laneStride(w);
+                std::vector<std::vector<Time>> scalar(
+                    w, std::vector<Time>(cells));
+                std::vector<Time> block(cells * stride, 0.0);
+                Rng rng(0xfab + w);
+                for (std::size_t j = 0; j < w; ++j) {
+                    for (std::size_t c = 0; c < cells; ++c) {
+                        Time t = rng.bernoulli(density)
+                                     ? infinity
+                                     : rng.uniform(0.0, 5.0);
+                        if (w >= 3 && j == w - 1)
+                            t = infinity;
+                        else if (w >= 3 && j == w - 2)
+                            t = 2.5;
+                        scalar[j][c] = t;
+                        block[c * stride + j] = t;
+                    }
+                }
+                std::vector<core::ArrivalSkew> got(w);
+                kernel.arrivalSkewBlock(std::span<const Time>(block),
+                                        std::span<core::ArrivalSkew>(got),
+                                        isa);
+                for (std::size_t j = 0; j < w; ++j) {
+                    const std::string what =
+                        std::string(rngIsaName(isa)) + " density " +
+                        std::to_string(density) + " width " +
+                        std::to_string(w) + " lane " + std::to_string(j);
+                    // Naive reference straight off the layout's comm
+                    // graph: scalar arrivalSkew() is the width-1
+                    // blocked fold, so it cannot stand in for an
+                    // independent one.
+                    core::ArrivalSkew ref;
+                    std::size_t clocked = 0;
+                    for (const Time t : scalar[j])
+                        clocked += t < infinity;
+                    ref.clockedFraction = static_cast<double>(clocked) /
+                                          static_cast<double>(cells);
+                    for (const graph::Edge &e : edges) {
+                        ++ref.pairCount;
+                        const Time ta = scalar[j][e.src];
+                        const Time tb = scalar[j][e.dst];
+                        if (ta >= infinity || tb >= infinity)
+                            continue;
+                        ++ref.clockedPairs;
+                        ref.maxCommSkew =
+                            std::max(ref.maxCommSkew, std::fabs(ta - tb));
+                    }
+                    if (w >= 3 && j == w - 1) {
+                        EXPECT_EQ(ref.clockedPairs, 0u) << what;
+                    } else if (w >= 3 && j == w - 2) {
+                        EXPECT_EQ(ref.clockedPairs, ref.pairCount) << what;
+                        EXPECT_EQ(ref.maxCommSkew, 0.0) << what;
+                    }
+                    for (const core::ArrivalSkew &r :
+                         {got[j], kernel.arrivalSkew(scalar[j])}) {
+                        // Bitwise: an all-unclocked or all-equal lane
+                        // must give +0, not -0 or NaN.
+                        EXPECT_EQ(std::bit_cast<std::uint64_t>(r.maxCommSkew),
+                                  std::bit_cast<std::uint64_t>(
+                                      ref.maxCommSkew))
+                            << what << ": " << r.maxCommSkew << " vs "
+                            << ref.maxCommSkew;
+                        EXPECT_EQ(r.clockedFraction, ref.clockedFraction)
+                            << what;
+                        EXPECT_EQ(r.clockedPairs, ref.clockedPairs) << what;
+                        EXPECT_EQ(r.pairCount, ref.pairCount) << what;
+                    }
+                }
             }
         }
     }
