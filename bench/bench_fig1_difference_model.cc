@@ -37,7 +37,6 @@ struct BranchPair
         layout = layout::Layout("branch-pair", g);
         layout.place(0, {-h1, 0.0});
         layout.place(1, {h2, 0.0});
-        layout.routeRemaining();
 
         const NodeId root = tree.addRoot({0.0, 0.0});
         tree.bindCell(tree.addChild(root, {-h1, 0.0}), 0);

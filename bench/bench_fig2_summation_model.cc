@@ -40,7 +40,6 @@ struct EqualBranches
         layout = layout::Layout("equal-branches", g);
         layout.place(0, {static_cast<Length>(-half), 0.0});
         layout.place(1, {static_cast<Length>(half), 0.0});
-        layout.routeRemaining();
 
         NodeId left = tree.addRoot({0.0, 0.0});
         NodeId right = left;

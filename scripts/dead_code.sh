@@ -8,8 +8,14 @@
 # (weak symbols) is not counted, so this undercounts; a constructor
 # counts, and prints, once per ABI variant (complete and base object
 # symbols). Tests are not linked: a function only a test reaches is
-# reported. Report only; the exit status is 0 whatever it finds. Run
-# from anywhere:
+# reported.
+#
+# The report is a ratchet: scripts/dead_code_allowlist.txt lists, one
+# demangled name per line, the functions known to be unreached. The
+# script exits 1, naming each one, when a function off that list is
+# unreached, so new dead code fails CI; a listed function that is
+# reached again or deleted is named as stale, to be dropped from the
+# list, without failing. Run from anywhere:
 #
 #   scripts/dead_code.sh              # build in a fresh temporary dir
 #   scripts/dead_code.sh <build-dir>  # build (or reuse) <build-dir>
@@ -19,7 +25,9 @@
 # benches, the examples and perfbench; nothing in the checkout is
 # written.
 set -euo pipefail
+export LC_ALL=C # one collation for sort, comm and the committed list
 root=$(cd "$(dirname "$0")/.." && pwd)
+allowlist=$root/scripts/dead_code_allowlist.txt
 
 owned=
 if [[ $# -ge 1 ]]; then
@@ -29,7 +37,8 @@ else
     owned=$dir
 fi
 linked=$(mktemp)
-trap 'rm -rf "$linked" ${owned:+"$owned"}' EXIT
+unreached_all=$(mktemp)
+trap 'rm -rf "$linked" "$unreached_all" ${owned:+"$owned"}' EXIT
 
 cmake -S "$root/perfbench" -B "$dir" -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS_DEBUG=-O0 \
@@ -64,6 +73,18 @@ while IFS= read -r lib; do
     dead=$((dead + u))
     echo "$(basename "$lib" .a): $u of $n unreached"
     [[ -z "$unreached" ]] || printf '%s\n' "$unreached" | c++filt |
-        sed 's/^/    /'
+        tee -a "$unreached_all" | sed 's/^/    /'
 done < <(find "$dir" -name 'libvs_*.a' | sort)
 echo "total: $dead of $total out-of-line library functions unreached"
+
+new=$(sort -u "$unreached_all" | comm -23 - <(sort -u "$allowlist"))
+stale=$(sort -u "$allowlist" | comm -23 - <(sort -u "$unreached_all"))
+if [[ -n "$stale" ]]; then
+    echo "reached or deleted; drop from ${allowlist#"$root"/}:"
+    printf '%s\n' "$stale" | sed 's/^/    /'
+fi
+if [[ -n "$new" ]]; then
+    echo "unreached and not in ${allowlist#"$root"/}:"
+    printf '%s\n' "$new" | sed 's/^/    /'
+    exit 1
+fi

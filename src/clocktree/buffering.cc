@@ -61,7 +61,7 @@ BufferedClockTree::insertBuffers(const ClockTree &tree, Length spacing)
         VSYNC_ASSERT(site != invalidId, "parent site missing for %d", v);
 
         const Length total = tree.wireLength(v);
-        const geom::Path &route = tree.wire(v);
+        const geom::Path route = tree.wire(v);
         Length placed = 0.0;
         // Buffers at spacing, 2*spacing, ... strictly inside the wire.
         while (total - placed > spacing) {

@@ -13,7 +13,6 @@ ClockTree::addRoot(const geom::Point &pos)
     VSYNC_ASSERT(positions.empty(), "clock tree already has a root");
     tree.addNode();
     positions.push_back(pos);
-    wires.emplace_back();
     wireLengths.push_back(0.0);
     cellOf.push_back(invalidId);
     invalidateCache();
@@ -23,22 +22,12 @@ ClockTree::addRoot(const geom::Point &pos)
 NodeId
 ClockTree::addChild(NodeId parent, const geom::Point &pos)
 {
-    return addChild(parent, pos, geom::lRoute(positions.at(parent), pos));
-}
-
-NodeId
-ClockTree::addChild(NodeId parent, const geom::Point &pos, geom::Path route)
-{
     VSYNC_ASSERT(!positions.empty(), "add the root first");
-    VSYNC_ASSERT(!route.empty(), "child route must have a segment");
-    VSYNC_ASSERT(route.front() == positions.at(parent),
-                 "route must start at the parent position");
-    VSYNC_ASSERT(route.back() == pos, "route must end at the child");
+    const Length length = geom::manhattan(positions.at(parent), pos);
     const NodeId id = tree.addNode();
     tree.setParent(id, parent);
     positions.push_back(pos);
-    wireLengths.push_back(route.length());
-    wires.push_back(std::move(route));
+    wireLengths.push_back(length);
     cellOf.push_back(invalidId);
     invalidateCache();
     return id;
@@ -50,8 +39,8 @@ ClockTree::padWire(NodeId node, Length extra)
     VSYNC_ASSERT(node > 0 && static_cast<std::size_t>(node) < size(),
                  "cannot pad node %d", node);
     VSYNC_ASSERT(extra >= 0.0, "negative padding %g", extra);
-    // The detour is accounted in the length only; the drawn route is
-    // unchanged (a serpentine of the same endpoints).
+    // The detour is accounted in the length only; the drawn route stays
+    // the L-route (a serpentine of the same endpoints).
     wireLengths[node] += extra;
     invalidateCache();
 }
@@ -70,6 +59,14 @@ ClockTree::bindCell(NodeId node, CellId cell)
                  "cell %d already clocked by node %d", cell, nodeOf[cell]);
     cellOf[node] = cell;
     nodeOf[cell] = node;
+}
+
+geom::Path
+ClockTree::wire(NodeId v) const
+{
+    VSYNC_ASSERT(v > 0 && static_cast<std::size_t>(v) < size(),
+                 "node %d has no wire", v);
+    return geom::lRoute(positions[tree.parent(v)], positions[v]);
 }
 
 NodeId
@@ -133,7 +130,16 @@ ClockTree::pathDifference(NodeId a, NodeId b) const
 Length
 ClockTree::treeDistance(NodeId a, NodeId b) const
 {
-    const NodeId anc = tree.nca(a, b);
+    // Ids are parent-before-child (addChild appends), so the larger id
+    // is never an ancestor of the smaller: stepping it up walks exactly
+    // the tree path a..b.
+    NodeId anc = a, other = b;
+    while (anc != other) {
+        if (anc > other)
+            anc = tree.parent(anc);
+        else
+            other = tree.parent(other);
+    }
     return rootPathLength(a) + rootPathLength(b) -
            2.0 * rootPathLength(anc);
 }
@@ -173,11 +179,8 @@ ClockTree::validate(bool die) const
         const NodeId p = tree.parent(static_cast<NodeId>(v));
         if (p == invalidId)
             return fail(csprintf("node %zu detached", v));
-        if (!(wires[v].front() == positions[p]) ||
-            !(wires[v].back() == positions[v])) {
-            return fail(csprintf("wire %zu endpoints mismatch", v));
-        }
-        if (wireLengths[v] + 1e-12 < wires[v].length())
+        if (wireLengths[v] + 1e-12 <
+            geom::manhattan(positions[p], positions[v]))
             return fail(csprintf("wire %zu shorter than its route", v));
     }
     return true;

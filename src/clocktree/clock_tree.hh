@@ -3,10 +3,13 @@
  * The clock distribution tree CLK (assumption A4).
  *
  * A ClockTree is a rooted binary tree laid out in the plane. Every node
- * has a position; every non-root node has a routed wire from its parent.
- * Some nodes coincide with cells of a communication graph ("a cell can
- * be clocked if it is also a node of CLK"). The quantities the skew
- * models consume are purely geometric:
+ * has a position; every non-root node has a wire from its parent, the
+ * L-route between the two positions (geom::lRoute), which is derived on
+ * demand rather than stored; only its length is kept, and it exceeds
+ * the route's when the wire is padded (padWire). Some nodes coincide
+ * with cells of a communication graph ("a cell can be clocked if it is
+ * also a node of CLK"). The quantities the skew models consume are
+ * purely geometric:
  *
  *  - h(v)    = physical length of the root-to-v path on CLK,
  *  - d(a, b) = |h(a) - h(b)|          (difference model, A9),
@@ -37,15 +40,12 @@ class ClockTree
     NodeId addRoot(const geom::Point &pos);
 
     /**
-     * Add a node under @p parent connected by a straight L-route.
+     * Add a node under @p parent connected by an L-route; the wire's
+     * length is the Manhattan distance between the two positions.
      *
      * @return the new node's id.
      */
     NodeId addChild(NodeId parent, const geom::Point &pos);
-
-    /** Add a node under @p parent along an explicit route. */
-    NodeId addChild(NodeId parent, const geom::Point &pos,
-                    geom::Path route);
 
     /**
      * Lengthen the wire feeding @p node by @p extra without moving it
@@ -72,8 +72,11 @@ class ClockTree
         return positions.at(v);
     }
 
-    /** Route of the wire from parent(v) to v. @pre v is not the root. */
-    const geom::Path &wire(NodeId v) const { return wires.at(v); }
+    /**
+     * Route of the wire from parent(v) to v: the L-route between their
+     * positions, built on each call. @pre v is not the root.
+     */
+    geom::Path wire(NodeId v) const;
 
     /** Physical length of the wire from parent(v) to v (0 for root). */
     Length wireLength(NodeId v) const { return wireLengths.at(v); }
@@ -93,8 +96,11 @@ class ClockTree
     /** d(a, b): |h(a) - h(b)| (the difference model's argument). */
     Length pathDifference(NodeId a, NodeId b) const;
 
-    /** s(a, b): length of the tree path a..b (the summation model's
-     *  argument). */
+    /**
+     * s(a, b): length of the tree path a..b (the summation model's
+     * argument). Finds the nca by an id-order climb (ids are
+     * parent-before-child), the same node graph::RootedTree::nca finds.
+     */
     Length treeDistance(NodeId a, NodeId b) const;
 
     /** Longest root-to-node physical path P (A6's clock-tree depth). */
@@ -104,8 +110,8 @@ class ClockTree
     Length totalWireLength() const;
 
     /**
-     * Structural checks: single root, wires' endpoints match node
-     * positions, every bound cell bound exactly once. fatal()s when
+     * Structural checks: single root, every node attached, and no wire
+     * shorter than the L-route between its endpoints. fatal()s when
      * @p die, else returns false on violation.
      */
     bool validate(bool die = true) const;
@@ -125,7 +131,6 @@ class ClockTree
   private:
     graph::RootedTree tree;
     std::vector<geom::Point> positions;
-    std::vector<geom::Path> wires;
     std::vector<Length> wireLengths;
     std::vector<CellId> cellOf;
     std::vector<NodeId> nodeOf; // indexed by cell id (grown on demand)

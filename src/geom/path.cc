@@ -33,18 +33,6 @@ Path::pointAt(Length dist) const
     return points.back();
 }
 
-void
-Path::extend(const Path &tail)
-{
-    if (tail.points.empty())
-        return;
-    std::size_t start = 0;
-    if (!points.empty() && points.back() == tail.points.front())
-        start = 1; // avoid duplicating the shared joint
-    for (std::size_t i = start; i < tail.points.size(); ++i)
-        points.push_back(tail.points[i]);
-}
-
 Path
 lRoute(const Point &a, const Point &b)
 {
@@ -52,20 +40,6 @@ lRoute(const Point &a, const Point &b)
     p.append(a);
     if (a.x != b.x && a.y != b.y)
         p.append({b.x, a.y});
-    p.append(b);
-    return p;
-}
-
-Path
-zRoute(const Point &a, const Point &b)
-{
-    Path p;
-    p.append(a);
-    if (a.x != b.x && a.y != b.y) {
-        const Length mid_x = (a.x + b.x) / 2.0;
-        p.append({mid_x, a.y});
-        p.append({mid_x, b.y});
-    }
     p.append(b);
     return p;
 }

@@ -1,6 +1,11 @@
 /**
  * @file
  * Rectilinear polylines used for wire routes.
+ *
+ * Layouts and clock trees store no routes: a wire is the L-route
+ * between its endpoints (lRoute), built when a reader needs the points
+ * (clock buffer placement, rendering). Its length equals the endpoints'
+ * Manhattan distance, which is what the skew models read.
  */
 
 #ifndef VSYNC_GEOM_PATH_HH
@@ -14,8 +19,7 @@ namespace vsync::geom
 {
 
 /**
- * A polyline through a sequence of points. Wire routes in layouts and
- * clock trees are stored as Paths; their length (sum of segment
+ * A polyline through a sequence of points. Its length (sum of segment
  * Manhattan lengths) is the "physical length" the paper's delay and skew
  * assumptions refer to.
  */
@@ -58,9 +62,6 @@ class Path
      */
     Point pointAt(Length dist) const;
 
-    /** Concatenate another path (its first point should equal back()). */
-    void extend(const Path &tail);
-
   private:
     std::vector<Point> points;
 };
@@ -70,9 +71,6 @@ class Path
  * to @p b. Degenerates to a straight segment when aligned.
  */
 Path lRoute(const Point &a, const Point &b);
-
-/** A Z route: horizontal to mid-x, vertical, then horizontal to @p b. */
-Path zRoute(const Point &a, const Point &b);
 
 } // namespace vsync::geom
 

@@ -76,7 +76,13 @@ class RootedTree
     /** Nodes in the subtree rooted at @p v (including v). */
     std::vector<NodeId> subtreeNodes(NodeId v) const;
 
-    /** Nearest common ancestor of @p a and @p b. */
+    /**
+     * Nearest common ancestor of @p a and @p b: equalise depths, then
+     * climb both. Makes no assumption on id order, so it is the
+     * reference the faster id-order climbs of clocktree::ClockTree and
+     * core::SkewKernel (whose ids are parent-before-child) are tested
+     * against.
+     */
     NodeId nca(NodeId a, NodeId b) const;
 
   private:

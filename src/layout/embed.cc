@@ -1,6 +1,7 @@
 #include "layout/embed.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 #include "graph/topology.hh"
@@ -56,7 +57,7 @@ embedMeshNearSquare(int rows, int cols, double targetAspect,
                  rows, cols);
     VSYNC_ASSERT(targetAspect >= 1.0, "target aspect must be >= 1");
 
-    const graph::Topology t = graph::mesh(rows, cols);
+    graph::Topology t = graph::mesh(rows, cols);
     std::vector<Coord> coords(t.coords.size());
     for (std::size_t i = 0; i < t.coords.size(); ++i)
         coords[i] = {t.coords[i][0], t.coords[i][1]};
@@ -83,13 +84,13 @@ embedMeshNearSquare(int rows, int cols, double targetAspect,
         ++folds;
     }
 
-    Layout l(csprintf("embedded-mesh-%dx%d", rows, cols), t.graph);
+    Layout l(csprintf("embedded-mesh-%dx%d", rows, cols),
+             std::move(t.graph));
     for (std::size_t i = 0; i < coords.size(); ++i) {
         l.place(static_cast<CellId>(i),
                 {static_cast<Length>(coords[i].x),
                  static_cast<Length>(coords[i].y)});
     }
-    l.routeRemaining();
 
     if (stats) {
         const geom::Rect bb = l.boundingBox();

@@ -31,7 +31,7 @@ struct EmbedStats
     double originalArea = 0.0;
     /** area / originalArea. */
     double areaFactor = 0.0;
-    /** Longest routed communication edge after embedding. */
+    /** Longest communication edge after embedding. */
     Length dilation = 0.0;
     /** Aspect ratio (>= 1) of the embedded bounding box. */
     double aspectRatio = 0.0;

@@ -9,8 +9,7 @@ namespace vsync::layout
 
 Layout::Layout(std::string name, graph::Graph comm)
     : name(std::move(name)), graph(std::move(comm)),
-      placements(graph.size()), placed(graph.size(), false),
-      routes(graph.edgeCount())
+      placements(graph.size()), placed(graph.size(), false)
 {
 }
 
@@ -24,24 +23,12 @@ Layout::place(CellId cell, const geom::Point &center)
     placed[cell] = true;
 }
 
-void
-Layout::routeRemaining()
-{
-    for (std::size_t e = 0; e < routes.size(); ++e) {
-        if (!routes[e].empty())
-            continue;
-        const graph::Edge &edge = graph.edge(static_cast<graph::EdgeId>(e));
-        routes[e] = geom::lRoute(placements[edge.src],
-                                 placements[edge.dst]);
-    }
-}
-
 Length
 Layout::maxEdgeLength() const
 {
     Length longest = 0.0;
-    for (const auto &r : routes)
-        longest = std::max(longest, r.length());
+    for (const graph::Edge &edge : graph.allEdges())
+        longest = std::max(longest, edgeLength(edge));
     return longest;
 }
 
@@ -51,7 +38,7 @@ Layout::totalWireLength() const
     // Count each undirected connection once: keep the smaller edge id of
     // each (src, dst)/(dst, src) pair.
     Length total = 0.0;
-    for (std::size_t e = 0; e < routes.size(); ++e) {
+    for (std::size_t e = 0; e < graph.edgeCount(); ++e) {
         const graph::Edge &edge = graph.edge(static_cast<graph::EdgeId>(e));
         bool counted_reverse = false;
         for (const graph::Adj &a : graph.outEdges(edge.dst)) {
@@ -62,7 +49,7 @@ Layout::totalWireLength() const
             }
         }
         if (!counted_reverse)
-            total += routes[e].length();
+            total += edgeLength(edge);
     }
     return total;
 }
@@ -92,17 +79,6 @@ Layout::validate(bool die) const
     for (std::size_t c = 0; c < placements.size(); ++c)
         if (!placed[c])
             return fail(csprintf("cell %zu not placed", c));
-
-    for (std::size_t e = 0; e < routes.size(); ++e) {
-        const graph::Edge &edge = graph.edge(static_cast<graph::EdgeId>(e));
-        const geom::Path &path = routes[e];
-        if (path.empty())
-            return fail(csprintf("edge %zu not routed", e));
-        if (!(path.front() == placements[edge.src]) ||
-            !(path.back() == placements[edge.dst])) {
-            return fail(csprintf("edge %zu route endpoints mismatch", e));
-        }
-    }
 
     // Unit-area cells: centres at least one pitch apart. O(n^2) check is
     // acceptable for the array sizes validated in tests.

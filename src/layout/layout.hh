@@ -2,10 +2,12 @@
  * @file
  * Planar layouts of communication graphs (assumptions A1-A3).
  *
- * A Layout binds a COMM graph to physical cell placements and routed
- * communication wires. Cells occupy unit area (A2) on a lambda grid and
- * wires are rectilinear paths of unit width (A3). The clock-tree builders
- * and skew analysis consume Layouts.
+ * A Layout binds a COMM graph to physical cell placements. Cells occupy
+ * unit area (A2) on a lambda grid and wires are rectilinear paths of unit
+ * width (A3); the skew models read only a wire's length, so no route is
+ * stored: each comm edge is the L-route between its endpoints'
+ * placements (geom::lRoute), whose length is their Manhattan distance.
+ * The clock-tree builders and skew analysis consume Layouts.
  */
 
 #ifndef VSYNC_LAYOUT_LAYOUT_HH
@@ -14,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "geom/path.hh"
 #include "geom/point.hh"
 #include "geom/rect.hh"
 #include "graph/graph.hh"
@@ -22,7 +23,7 @@
 namespace vsync::layout
 {
 
-/** A placed and routed communication graph. */
+/** A placed communication graph. */
 class Layout
 {
   public:
@@ -30,18 +31,13 @@ class Layout
 
     /**
      * @param name human-readable layout name.
-     * @param comm the communication graph (copied).
+     * @param comm the communication graph (taken by value; move it in
+     *             to avoid a copy).
      */
     Layout(std::string name, graph::Graph comm);
 
     /** Place cell @p cell at @p center. */
     void place(CellId cell, const geom::Point &center);
-
-    /**
-     * Route every still-unrouted edge with an L-shaped path between its
-     * endpoint placements.
-     */
-    void routeRemaining();
 
     /** The communication graph. */
     const graph::Graph &comm() const { return graph; }
@@ -58,16 +54,10 @@ class Layout
     /** All placements, indexed by cell id. */
     const std::vector<geom::Point> &positions() const { return placements; }
 
-    /** Route of directed edge @p e. */
-    const geom::Path &edgeRoute(graph::EdgeId e) const
-    {
-        return routes.at(e);
-    }
-
-    /** Longest routed communication edge. */
+    /** Longest communication edge (Manhattan distance of its ends). */
     Length maxEdgeLength() const;
 
-    /** Sum of all route lengths (each undirected pair counted once). */
+    /** Sum of all edge lengths (each undirected pair counted once). */
     Length totalWireLength() const;
 
     /** Bounding box over cell placements (half-cell margin added). */
@@ -77,10 +67,9 @@ class Layout
     const std::string &layoutName() const { return name; }
 
     /**
-     * Check structural sanity: every cell placed, every edge routed with
-     * endpoints at the cells' placements, and no two cells closer than
-     * one cell pitch (unit area, A2). Calls fatal() on violation when
-     * @p die, otherwise returns false.
+     * Check structural sanity: every cell placed and no two cells closer
+     * than one cell pitch (unit area, A2). Calls fatal() on violation
+     * when @p die, otherwise returns false.
      */
     bool validate(bool die = true) const;
 
@@ -89,7 +78,12 @@ class Layout
     graph::Graph graph;
     std::vector<geom::Point> placements;
     std::vector<bool> placed;
-    std::vector<geom::Path> routes;
+
+    /** Length of @p edge's L-route: the Manhattan distance of its ends. */
+    Length edgeLength(const graph::Edge &edge) const
+    {
+        return geom::manhattan(placements[edge.src], placements[edge.dst]);
+    }
 };
 
 } // namespace vsync::layout

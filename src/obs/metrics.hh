@@ -40,8 +40,6 @@ class JsonWriter;
 namespace vsync::obs
 {
 
-class Sink;
-
 /** A monotonically increasing event count. */
 class Counter
 {
@@ -164,11 +162,8 @@ class MetricsRegistry
      */
     void writeJson(JsonWriter &w) const;
 
-    /** writeJson rendered to a string (golden tests, sinks). */
+    /** writeJson rendered to a string (golden tests, reports). */
     std::string toJsonString() const;
-
-    /** Render toJsonString() and hand it to @p sink. */
-    void flush(Sink &sink) const;
 
   private:
     enum class Kind { Counter, Gauge, Histogram };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hh"
 #include "graph/topology.hh"
@@ -37,11 +38,11 @@ buildHTreeMachine(int levels)
 {
     VSYNC_ASSERT(levels >= 1 && levels <= 24, "bad tree levels %d",
                  levels);
-    const graph::Topology topo = graph::completeBinaryTree(levels);
+    graph::Topology topo = graph::completeBinaryTree(levels);
     TreeMachineLayout tm;
     tm.levels = levels;
     tm.layout = layout::Layout(csprintf("htree-machine-%d", levels),
-                               topo.graph);
+                               std::move(topo.graph));
     tm.edgeLengthAtLevel.assign(static_cast<std::size_t>(levels), 0.0);
     for (int l = 1; l < levels; ++l)
         tm.edgeLengthAtLevel[static_cast<std::size_t>(l)] =
@@ -66,7 +67,6 @@ buildHTreeMachine(int levels)
     }
     for (int v = 0; v < n; ++v)
         tm.layout.place(v, pos[static_cast<std::size_t>(v)]);
-    tm.layout.routeRemaining();
     return tm;
 }
 

@@ -26,7 +26,7 @@ namespace vsync::treemachine
 /** An H-tree-placed complete binary tree machine. */
 struct TreeMachineLayout
 {
-    /** The placed and routed binary tree (cell 0 = root, heap order). */
+    /** The placed binary tree (cell 0 = root, heap order). */
     layout::Layout layout;
     /** Tree levels (nodes = 2^levels - 1). */
     int levels = 0;

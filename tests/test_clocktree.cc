@@ -5,12 +5,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "clocktree/builders.hh"
 #include "clocktree/clock_tree.hh"
+#include "clocktree/optimize.hh"
 #include "common/rng.hh"
+#include "geom/path.hh"
+#include "graph/topology.hh"
+#include "layout/embed.hh"
 #include "layout/generators.hh"
+#include "treemachine/htree_machine.hh"
 
 namespace
 {
@@ -210,6 +220,103 @@ TEST(ClockTree, SingleCellLayouts)
     EXPECT_EQ(h.boundCellCount(), 1u);
     const ClockTree rb = buildRecursiveBisection(l);
     EXPECT_EQ(rb.boundCellCount(), 1u);
+}
+
+/**
+ * Layout lengths are folds of the L-route between each comm edge's
+ * endpoint placements, in edge-id order, with totalWireLength's rule
+ * of counting a pair once (skip an edge whose reverse came earlier).
+ */
+void
+expectLengthsAreLRouteFolds(const layout::Layout &l)
+{
+    Length longest = 0.0, total = 0.0;
+    std::set<std::pair<CellId, CellId>> seen;
+    for (const graph::Edge &e : l.comm().allEdges()) {
+        const Length len =
+            geom::lRoute(l.position(e.src), l.position(e.dst)).length();
+        longest = std::max(longest, len);
+        if (!seen.count({e.dst, e.src}))
+            total += len;
+        seen.insert({e.src, e.dst});
+    }
+    EXPECT_EQ(l.maxEdgeLength(), longest) << l.layoutName();
+    EXPECT_EQ(l.totalWireLength(), total) << l.layoutName();
+}
+
+/**
+ * Every wire of @p t has the L-route's length between its endpoints,
+ * plus the Lemma 1 padding that @p padded trees add: the deficit of a
+ * bound node's root path to the longest bound one in @p unpadded, the
+ * same builder run with equalize = false. wire(v) runs between the
+ * two positions.
+ */
+void
+expectWiresAreLRoutes(const ClockTree &t, const ClockTree *unpadded = nullptr)
+{
+    Length max_h = 0.0;
+    if (unpadded) {
+        ASSERT_EQ(unpadded->size(), t.size()) << t.name;
+        for (NodeId v = 0; static_cast<std::size_t>(v) < t.size(); ++v)
+            if (unpadded->cellOfNode(v) != invalidId)
+                max_h = std::max(max_h, unpadded->rootPathLength(v));
+    }
+    EXPECT_EQ(t.wireLength(t.root()), 0.0) << t.name;
+    for (NodeId v = 1; static_cast<std::size_t>(v) < t.size(); ++v) {
+        const geom::Point &from = t.position(t.structure().parent(v));
+        Length expected = geom::lRoute(from, t.position(v)).length();
+        if (unpadded && t.cellOfNode(v) != invalidId) {
+            const Length deficit = max_h - unpadded->rootPathLength(v);
+            if (deficit > 1e-12)
+                expected += deficit;
+        }
+        EXPECT_EQ(t.wireLength(v), expected) << t.name << " node " << v;
+        const geom::Path route = t.wire(v);
+        EXPECT_EQ(route.front(), from) << t.name << " node " << v;
+        EXPECT_EQ(route.back(), t.position(v)) << t.name << " node " << v;
+    }
+    EXPECT_TRUE(t.validate(false)) << t.name;
+}
+
+TEST(DerivedRoutes, EveryGeneratorAndBuilderMatchesLRoutes)
+{
+    const layout::Layout linear = layout::linearLayout(9, 1.5);
+    const layout::Layout folded = layout::foldedLinearLayout(11);
+    const layout::Layout comb = layout::serpentineLayout(30, 7);
+    const layout::Layout racetrack = layout::racetrackRingLayout(12);
+    const layout::Layout mesh = layout::meshLayout(8, 8);
+    const layout::Layout odd_mesh = layout::meshLayout(3, 5);
+    const layout::Layout hex = layout::hexLayout(4, 4);
+    const layout::Layout layered = layout::layeredTreeLayout(5);
+    const layout::Layout ring = layout::fromTopology(graph::ring(8));
+    const layout::Layout torus = layout::fromTopology(graph::torus(4, 6));
+    const layout::Layout embedded = layout::embedMeshNearSquare(2, 32);
+    const treemachine::TreeMachineLayout machine =
+        treemachine::buildHTreeMachine(5);
+    for (const layout::Layout *l :
+         {&linear, &folded, &comb, &racetrack, &mesh, &odd_mesh, &hex,
+          &layered, &ring, &torus, &embedded, &machine.layout})
+        expectLengthsAreLRouteFolds(*l);
+
+    expectWiresAreLRoutes(buildChain(linear, {4, 3, 5, 2, 6, 1, 7, 0, 8},
+                                     {-2.0, 3.0}));
+    expectWiresAreLRoutes(buildSpine(comb));
+    for (const auto &[grid, rows, cols] :
+         {std::tuple{&mesh, 8, 8}, std::tuple{&odd_mesh, 3, 5},
+          std::tuple{&hex, 4, 4}}) {
+        const ClockTree unpadded = buildHTreeGrid(*grid, rows, cols, false);
+        expectWiresAreLRoutes(unpadded);
+        expectWiresAreLRoutes(buildHTreeGrid(*grid, rows, cols), &unpadded);
+    }
+    const ClockTree unpadded_linear = buildHTreeLinear(linear, false);
+    expectWiresAreLRoutes(buildHTreeLinear(linear), &unpadded_linear);
+    expectWiresAreLRoutes(buildRecursiveBisection(hex));
+    Rng rng(0x5eed);
+    expectWiresAreLRoutes(buildRandomTree(odd_mesh, rng));
+    expectWiresAreLRoutes(buildDoubleComb(racetrack));
+    expectWiresAreLRoutes(buildGreedyMatching(mesh));
+    expectWiresAreLRoutes(optimizeTree(odd_mesh, rng, 50).tree);
+    expectWiresAreLRoutes(treemachine::buildClockAlongDataPaths(machine));
 }
 
 } // namespace

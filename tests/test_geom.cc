@@ -16,7 +16,6 @@ using vsync::geom::lRoute;
 using vsync::geom::Path;
 using vsync::geom::Point;
 using vsync::geom::Rect;
-using vsync::geom::zRoute;
 
 TEST(Point, Distances)
 {
@@ -62,15 +61,6 @@ TEST(Path, PointAtInterpolates)
     EXPECT_EQ(p.pointAt(-1.0), Point(0, 0)); // clamped
 }
 
-TEST(Path, ExtendMergesSharedJoint)
-{
-    Path a({{0, 0}, {1, 0}});
-    Path b({{1, 0}, {1, 2}});
-    a.extend(b);
-    EXPECT_EQ(a.size(), 3u);
-    EXPECT_DOUBLE_EQ(a.length(), 3.0);
-}
-
 TEST(Routes, LRouteShape)
 {
     const Path p = lRoute({0, 0}, {3, 4});
@@ -84,13 +74,6 @@ TEST(Routes, LRouteDegeneratesWhenAligned)
     const Path p = lRoute({0, 0}, {0, 5});
     EXPECT_EQ(p.size(), 2u);
     EXPECT_DOUBLE_EQ(p.length(), 5.0);
-}
-
-TEST(Routes, ZRouteLengthEqualsManhattan)
-{
-    const Path p = zRoute({0, 0}, {4, 2});
-    EXPECT_DOUBLE_EQ(p.length(), 6.0);
-    EXPECT_EQ(p.size(), 4u);
 }
 
 TEST(Rect, AreaAspectContains)

@@ -120,18 +120,18 @@ TEST(Layout, ValidateCatchesOverlaps)
     Layout l("bad", g);
     l.place(0, {0.0, 0.0});
     l.place(1, {0.25, 0.0}); // violates unit-area spacing
-    l.routeRemaining();
     EXPECT_FALSE(l.validate(false));
 }
 
-TEST(Layout, ValidateCatchesMissingRoute)
+TEST(Layout, ValidateCatchesUnplacedCell)
 {
     graph::Graph g(2);
     g.addEdge(0, 1);
-    Layout l("unrouted", g);
+    Layout l("unplaced", g);
     l.place(0, {0.0, 0.0});
-    l.place(1, {1.0, 0.0});
     EXPECT_FALSE(l.validate(false));
+    l.place(1, {1.0, 0.0});
+    EXPECT_TRUE(l.validate(false));
 }
 
 TEST(Layout, BoundingBoxIncludesCellExtent)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the observability subsystem: metrics registry determinism,
- * sinks and log routing, Chrome-trace output, VCD waveform export and
+ * log routing, Chrome-trace output, VCD waveform export and
  * the engine probes.
  */
 
@@ -12,6 +12,8 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -30,7 +32,6 @@
 #include "mc/resilience.hh"
 #include "obs/metrics.hh"
 #include "obs/probes.hh"
-#include "obs/sink.hh"
 #include "obs/trace.hh"
 #include "obs/vcd.hh"
 
@@ -129,17 +130,7 @@ TEST(Metrics, JsonBitIdenticalAcrossThreadCounts)
     EXPECT_EQ(one, updateRegistryWith(8));
 }
 
-TEST(Metrics, FlushRendersToSink)
-{
-    obs::MetricsRegistry reg;
-    reg.counter("n").inc(3);
-    obs::CaptureSink sink;
-    reg.flush(sink);
-    ASSERT_EQ(sink.metricsSnapshots().size(), 1u);
-    EXPECT_EQ(sink.metricsSnapshots().front(), reg.toJsonString());
-}
-
-// ------------------------------------------------------- logging + sinks
+// ---------------------------------------------------------------- logging
 
 /** Restores the global logging configuration on scope exit. */
 struct LogStateGuard
@@ -151,6 +142,27 @@ struct LogStateGuard
         setLogSink({});
     }
 };
+
+/** Log lines routed through setLogSink, in order. */
+using LogLines = std::vector<std::pair<LogLevel, std::string>>;
+
+/** Route every surviving log line into @p lines. */
+void
+captureLogLines(LogLines &lines)
+{
+    setLogSink([&lines](LogLevel level, const std::string &line) {
+        lines.emplace_back(level, line);
+    });
+}
+
+/** Number of captured lines at exactly @p level. */
+std::size_t
+countAtLevel(const LogLines &lines, LogLevel level)
+{
+    return static_cast<std::size_t>(std::count_if(
+        lines.begin(), lines.end(),
+        [level](const auto &entry) { return entry.first == level; }));
+}
 
 TEST(Logging, ParseLogLevel)
 {
@@ -168,24 +180,24 @@ TEST(Logging, ParseLogLevel)
 TEST(Logging, LevelFilterDropsBelowThreshold)
 {
     LogStateGuard guard;
-    obs::CaptureSink sink;
-    obs::attachLogSink(&sink);
+    LogLines lines;
+    captureLogLines(lines);
 
     setLogLevel(LogLevel::Warn);
     inform("not emitted");
     debugLog("not emitted");
     warn("emitted %d", 1);
-    ASSERT_EQ(sink.logLines().size(), 1u);
-    EXPECT_EQ(sink.logLines().front().second, "warn: emitted 1");
-    EXPECT_EQ(sink.countAtLevel(LogLevel::Info), 0u);
-    EXPECT_EQ(sink.countAtLevel(LogLevel::Warn), 1u);
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_EQ(lines.front().second, "warn: emitted 1");
+    EXPECT_EQ(countAtLevel(lines, LogLevel::Info), 0u);
+    EXPECT_EQ(countAtLevel(lines, LogLevel::Warn), 1u);
 
-    sink.clear();
+    lines.clear();
     setLogLevel(LogLevel::Debug);
     debugLog("now visible");
     inform("also visible");
-    EXPECT_EQ(sink.countAtLevel(LogLevel::Debug), 1u);
-    EXPECT_EQ(sink.countAtLevel(LogLevel::Info), 1u);
+    EXPECT_EQ(countAtLevel(lines, LogLevel::Debug), 1u);
+    EXPECT_EQ(countAtLevel(lines, LogLevel::Info), 1u);
 }
 
 TEST(Logging, EnvVariableSetsLevel)
@@ -195,10 +207,10 @@ TEST(Logging, EnvVariableSetsLevel)
     initLogLevelFromEnv();
     EXPECT_EQ(logLevel(), LogLevel::Error);
 
-    obs::CaptureSink sink;
-    obs::attachLogSink(&sink);
+    LogLines lines;
+    captureLogLines(lines);
     warn("dropped at error level");
-    EXPECT_TRUE(sink.logLines().empty());
+    EXPECT_TRUE(lines.empty());
 
     ::unsetenv("VSYNC_LOG_LEVEL");
     initLogLevelFromEnv();
@@ -208,12 +220,12 @@ TEST(Logging, EnvVariableSetsLevel)
 TEST(Logging, DetachedSinkRestoresStderrPath)
 {
     LogStateGuard guard;
-    obs::CaptureSink sink;
-    obs::attachLogSink(&sink);
-    obs::attachLogSink(nullptr);
+    LogLines lines;
+    captureLogLines(lines);
+    setLogSink({});
     setLogLevel(LogLevel::Error); // silence the line below
     warn("goes nowhere");
-    EXPECT_TRUE(sink.logLines().empty());
+    EXPECT_TRUE(lines.empty());
 }
 
 // ---------------------------------------------------------------- tracing

@@ -40,7 +40,6 @@ TEST(GreedyMatching, MergesNearestFirstOnALine)
     l.place(0, {0.0, 0.0});
     l.place(1, {1.0, 0.0});
     l.place(2, {10.0, 0.0});
-    l.routeRemaining();
 
     const ClockTree t = buildGreedyMatching(l);
     const NodeId a = t.nodeOfCell(0), b = t.nodeOfCell(1),

@@ -56,6 +56,12 @@ TEST(SkewKernelNca, MatchesNaiveParentClimbOnRandomizedTrees)
                 EXPECT_EQ(kernel.pathDifference(a, b),
                           t.pathDifference(a, b))
                     << "trial " << trial;
+                // ClockTree's own id-order climb against the reference.
+                const NodeId ref = t.structure().nca(a, b);
+                EXPECT_EQ(t.treeDistance(a, b),
+                          t.rootPathLength(a) + t.rootPathLength(b) -
+                              2.0 * t.rootPathLength(ref))
+                    << "trial " << trial;
             }
         }
     }
